@@ -38,9 +38,7 @@ from .spectral import (
     SvdConvergenceError,
     complex_svd,
     dft_mode3,
-    get_max_workers,
     idft_mode3,
-    set_max_workers,
 )
 from .tprod import (
     SingularSliceError,
@@ -74,8 +72,6 @@ __all__ = [
     "complex_svd",
     "SliceSvd",
     "SvdConvergenceError",
-    "set_max_workers",
-    "get_max_workers",
     "km_mapping",
     "tsvd",
     "TSvd",

@@ -2,8 +2,7 @@
 
 Reports are printed one ``key = value`` pair per line with 17 significant
 digits.  Exit codes: 0 success, 2 usage or file-format violation, 3 numerical
-failure (including failed verification properties).  The environment variable
-``TSVDKIT_THREADS`` caps per-slice worker parallelism (0 = auto).
+failure (including failed verification properties).
 """
 
 import argparse
@@ -15,7 +14,6 @@ import numpy as np
 from .core import frobenius_norm, transpose
 from .fileio import TensorFormatError, read_tensor, write_tensor
 from .kmsvd import km_equal, km_mapping, sigma1, singular_values, truncate_trank, tsvd
-from .spectral import set_max_workers
 from .tprod import random_orthogonal, tprod
 
 EXIT_OK = 0
@@ -182,26 +180,10 @@ def _build_parser():
     return parser
 
 
-def _configure_workers():
-    raw = os.environ.get("TSVDKIT_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise TensorFormatError(
-            f"TSVDKIT_THREADS must be a nonnegative integer, got {raw!r}"
-        ) from None
-    set_max_workers(value)
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_workers()
         return args.func(args)
     except (TensorFormatError, OSError, ValueError) as exc:
         print(f"tsvdkit: error: {exc}", file=sys.stderr)

@@ -36,9 +36,22 @@ def as_tensor(a):
     return arr
 
 
+def _norm2(x, axis=None):
+    """Euclidean norm over `axis`, safe across the float64 range.
+
+    Entries are first divided by a power of two within a factor 2 of the
+    largest magnitude (the scaling of BLAS nrm2; Blue, ACM TOMS 1978), so no
+    square over- or underflows.  The division is exact, so in range the result
+    rounds exactly as the unscaled sum of squares does.
+    """
+    big = np.abs(x).max(axis=axis, keepdims=True)
+    scale = np.ldexp(1.0, np.frexp(big)[1] - 1)
+    return np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)
+
+
 def frobenius_norm(a):
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_tensor(a)))
+    """Square root of the sum of squared entries, safe across the float64 range."""
+    return float(_norm2(as_tensor(a)))
 
 
 def unfold(a):

@@ -7,19 +7,12 @@ tensor that is invariant under T-products with orthogonal tensors, which is
 what makes the derived singular values and ranks well defined.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_tensor, frobenius_norm, transpose
-from .spectral import (
-    _singular_values_tall,
-    complex_svd,
-    dft_mode3,
-    get_max_workers,
-    idft_mode3,
-)
+from .core import _norm2, as_tensor, frobenius_norm, transpose
+from .spectral import _factor_slices, _idft_half, _independent_half, _svd, dft_mode3
 from .tprod import tprod
 
 __all__ = [
@@ -57,59 +50,16 @@ class RankReport:
     threshold: float
 
 
-def _independent_slices(p):
-    """Indices of transform slices not determined by conjugate symmetry."""
-    return range(p // 2 + 1)
-
-
-def _realified(spec, k, p):
-    """Slice k of the spectrum, forced exactly real when self-conjugate.
-
-    Self-paired slices of a real tensor's transform are real up to roundoff;
-    dropping the residue keeps the factor slices exactly conjugate symmetric,
-    so the inverse transform is real by construction.
-    """
-    sl = spec[:, :, k]
-    if (p - k) % p == k:
-        return sl.real.astype(complex)
-    return sl
-
-
-def _map_slices(func, items):
-    workers = get_max_workers()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
-
-
-def _diagonal_spectrum(a):
-    """Per-slice singular values of the transform, (min(m, n), p), mirrored."""
-    a = as_tensor(a)
-    m, n, p = a.shape
-    spec = dft_mode3(a)
-    vals = np.empty((min(m, n), p))
-    half = list(_independent_slices(p))
-    computed = _map_slices(
-        lambda k: _singular_values_tall(_realified(spec, k, p)), half
-    )
-    for k, col in zip(half, computed):
-        vals[:, k] = col
-        mirror = (p - k) % p
-        if mirror != k:
-            vals[:, mirror] = col
-    return vals
-
-
 def km_mapping(a):
     """Real f-diagonal image of `a`: inverse DFT of the slicewise singular values."""
     a = as_tensor(a)
     m, n, p = a.shape
     r = min(m, n)
-    vals = _diagonal_spectrum(a)
-    sig = np.zeros((m, n, p), dtype=complex)
-    sig[np.arange(r), np.arange(r), :] = vals
-    return idft_mode3(sig)
+    half = _independent_half(dft_mode3(a))
+    vals = _svd(half.transpose(2, 0, 1), compute_uv=False)  # (slices, r)
+    sig = np.zeros((m, n, half.shape[2]))
+    sig[np.arange(r), np.arange(r), :] = vals.T
+    return _idft_half(sig, p)
 
 
 def tsvd(a):
@@ -117,23 +67,10 @@ def tsvd(a):
     a = as_tensor(a)
     m, n, p = a.shape
     r = min(m, n)
-    spec = dft_mode3(a)
-    u_hat = np.empty((m, m, p), dtype=complex)
-    v_hat = np.empty((n, n, p), dtype=complex)
-    s_hat = np.zeros((m, n, p), dtype=complex)
-    half = list(_independent_slices(p))
-    factors = _map_slices(lambda k: complex_svd(_realified(spec, k, p)), half)
-    diag = np.arange(r)
-    for k, f in zip(half, factors):
-        u_hat[:, :, k] = f.u
-        v_hat[:, :, k] = f.v
-        s_hat[diag, diag, k] = f.sigma
-        mirror = (p - k) % p
-        if mirror != k:
-            u_hat[:, :, mirror] = f.u.conj()
-            v_hat[:, :, mirror] = f.v.conj()
-            s_hat[diag, diag, mirror] = f.sigma
-    return TSvd(u=idft_mode3(u_hat), s=idft_mode3(s_hat), v=idft_mode3(v_hat))
+    u, sigma, v = _factor_slices(_independent_half(dft_mode3(a)))
+    s = np.zeros((m, n, sigma.shape[1]))
+    s[np.arange(r), np.arange(r), :] = sigma
+    return TSvd(u=_idft_half(u, p), s=_idft_half(s, p), v=_idft_half(v, p))
 
 
 def default_rank_threshold(shape, sigma1):
@@ -154,7 +91,7 @@ def singular_values(a, tol=None):
     r = min(a.shape[0], a.shape[1])
     diag = s[np.arange(r), np.arange(r), :]
     sv = np.sort(np.abs(diag), axis=None)[::-1]
-    lam = np.sqrt((diag**2).sum(axis=1))
+    lam = _norm2(diag, axis=1)
     if tol is None:
         tol = default_rank_threshold(a.shape, float(sv[0]))
     elif tol < 0:

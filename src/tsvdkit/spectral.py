@@ -1,13 +1,13 @@
-"""Mode-3 DFT of real tensors and a complex one-sided Jacobi SVD.
+"""Mode-3 DFT of real tensors and deterministic per-slice SVDs on LAPACK.
 
 The forward transform is the unnormalized DFT along tubes (third axis); the
 inverse carries the 1/p factor.  Transforms of real tensors are conjugate
 symmetric along the third axis: slice p - k is the conjugate of slice k and
-slice 0 (plus slice p/2 for even p) is real.
+slice 0 (plus slice p/2 for even p) is real.  Only the first p // 2 + 1
+slices are independent, so per-slice work runs on that half and the rest of
+the spectrum is rebuilt by conjugation.
 """
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,38 +20,11 @@ __all__ = [
     "complex_svd",
     "SliceSvd",
     "SvdConvergenceError",
-    "set_max_workers",
-    "get_max_workers",
 ]
 
 # Inverse transforms of conjugate-symmetric data are real up to roundoff; any
 # larger imaginary residue means the symmetry was broken upstream.
 IMAG_RESIDUE_TOL = 1e-8
-
-# Jacobi sweeps stop once every column pair is orthogonal to PAIR_TOL relative
-# to the column norms, which bounds the off-diagonal Gram mass by
-# PAIR_TOL * ||input||_F^2.
-PAIR_TOL = 1e-14
-MAX_SWEEPS = 60
-
-_max_workers = 1
-
-
-def set_max_workers(n):
-    """Cap the worker threads used for independent per-slice factorizations.
-
-    ``n = 0`` selects the CPU count.  Results are identical for any setting;
-    this only affects wall-clock time.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"worker count must be >= 0, got {n}")
-    global _max_workers
-    _max_workers = n if n > 0 else (os.cpu_count() or 1)
-
-
-def get_max_workers():
-    return _max_workers
 
 
 def dft_mode3(a):
@@ -86,15 +59,7 @@ def idft_mode3(d, residue_tol=IMAG_RESIDUE_TOL):
 
 
 class SvdConvergenceError(ArithmeticError):
-    """Jacobi sweeps hit the cap before reaching the orthogonality target."""
-
-    def __init__(self, off_norm, sweeps=MAX_SWEEPS):
-        self.off_norm = off_norm
-        self.sweeps = sweeps
-        super().__init__(
-            f"SVD did not converge after {sweeps} sweeps; "
-            f"achieved off-diagonal Gram norm {off_norm:.3e}"
-        )
+    """LAPACK's SVD of a transform slice did not converge."""
 
 
 @dataclass(frozen=True)
@@ -106,128 +71,77 @@ class SliceSvd:
     v: np.ndarray  # (n, n) unitary
 
 
-def _off_norm(w):
-    g = w.conj().T @ w
-    g[np.diag_indices_from(g)] = 0.0
-    return float(np.linalg.norm(g))
-
-
-def _orthogonalize_columns(w, v):
-    """Plane-rotate columns of `w` (mirroring into `v`) until pairwise orthogonal.
-
-    Each rotation diagonalizes the 2x2 Gram block of a column pair; a pair is
-    skipped once its inner product is below PAIR_TOL relative to the column
-    norms.  Raises SvdConvergenceError if MAX_SWEEPS full sweeps still rotate.
-    """
-    n = w.shape[1]
-    if n < 2:
-        return
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                gij = complex(np.vdot(w[:, i], w[:, j]))
-                gii = float(np.vdot(w[:, i], w[:, i]).real)
-                gjj = float(np.vdot(w[:, j], w[:, j]).real)
-                if abs(gij) <= PAIR_TOL * math.sqrt(gii * gjj):
-                    continue
-                # Unitary R = [[c, s], [-s*conj(phase), c*conj(phase)]] with the
-                # classic smaller-angle tangent; R^H G R is diagonal for the
-                # pair's 2x2 Gram block G.
-                phase_conj = (gij / abs(gij)).conjugate()
-                zeta = (gjj - gii) / (2.0 * abs(gij))
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                col = w[:, i].copy()
-                w[:, i] = c * col - (phase_conj * s) * w[:, j]
-                w[:, j] = s * col + (phase_conj * c) * w[:, j]
-                if v is not None:
-                    col = v[:, i].copy()
-                    v[:, i] = c * col - (phase_conj * s) * v[:, j]
-                    v[:, j] = s * col + (phase_conj * c) * v[:, j]
-                rotated = True
-        if not rotated:
-            return
-    raise SvdConvergenceError(_off_norm(w), MAX_SWEEPS)
-
-
-def _singular_values_tall(d):
-    """Non-increasing singular values of `d` (any shape) via Jacobi sweeps."""
-    m, n = d.shape
-    w = (d if m >= n else d.conj().T).copy()
-    _orthogonalize_columns(w, None)
-    values = np.linalg.norm(w, axis=0)
-    values[::-1].sort()
-    return values
-
-
-def _jacobi_svd(d):
-    """Full SVD of a tall matrix (m >= n): returns (u, sigma, v) unnormalized phases."""
-    m, n = d.shape
-    w = d.copy()
-    v = np.eye(n, dtype=complex)
-    _orthogonalize_columns(w, v)
-    sigma = np.linalg.norm(w, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = np.ascontiguousarray(sigma[order])
-    w = w[:, order]
-    v = np.ascontiguousarray(v[:, order])
-    u = np.zeros((m, m), dtype=complex)
-    cutoff = (sigma[0] if n else 0.0) * max(m, n) * np.finfo(float).eps
-    rank = int((sigma > cutoff).sum())
-    if rank:
-        u[:, :rank] = w[:, :rank] / sigma[:rank]
-    if rank < m:
-        # Orthonormal complement: QR of [computed columns | identity] keeps the
-        # computed columns' span in front, so the trailing Q columns fill u.
-        if rank:
-            basis = np.linalg.qr(
-                np.hstack([u[:, :rank], np.eye(m, dtype=complex)])
-            )[0]
-            u[:, rank:] = basis[:, rank:]
-        else:
-            u[:, :] = np.eye(m)
-    return u, sigma, v
+def _svd(d, compute_uv=True):
+    """``np.linalg.svd``, stacked over leading axes; failure is SvdConvergenceError."""
+    try:
+        return np.linalg.svd(d, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD did not converge: {exc}") from None
 
 
 def _normalize_phases(u, sigma, v):
     """Make the first significant entry of each left column real nonnegative.
 
     Compensating phases go into the paired right column so the product
-    u @ diag(sigma) @ v^H is unchanged.
+    u @ diag(sigma) @ v^H is unchanged.  Real factors get signs only, so
+    they stay exactly real.
     """
+    cols = np.arange(u.shape[1])
+    lead = u[(np.abs(u) > 1e-8).argmax(axis=0), cols]
+    phase_conj = lead.conj() / np.abs(lead)
     k = sigma.shape[0]
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        lead = np.flatnonzero(np.abs(col) > 1e-8)
-        if lead.size == 0:
-            continue
-        entry = col[lead[0]]
-        phase_conj = (entry / abs(entry)).conjugate()
-        u[:, i] = col * phase_conj
-        if i < k:
-            v[:, i] = v[:, i] * phase_conj
+    u = u * phase_conj
+    v[:, :k] *= phase_conj[:k]
     return u, v
 
 
 def complex_svd(d):
     """Full SVD of a complex matrix with deterministic factors.
 
-    One-sided Jacobi with complex plane rotations; singular values are sorted
-    non-increasing (stable among ties) and each left column's first
-    significant entry is made real nonnegative.  Exactly real input yields
-    exactly real factors.
+    LAPACK's SVD, with the real driver when the imaginary part is all zero so
+    that exactly real input yields exactly real factors.  Singular values are
+    non-increasing and each left column's first significant entry is made
+    real nonnegative.
     """
     d = np.asarray(d, dtype=complex)
     if d.ndim != 2:
         raise ValueError(f"expected a matrix, got {d.ndim} axes")
     if d.size and not np.isfinite(d).all():
         raise ValueError("matrix entries must be finite")
-    m, n = d.shape
-    if m >= n:
-        u, sigma, v = _jacobi_svd(d)
-    else:
-        v, sigma, u = _jacobi_svd(d.conj().T)
-    u, v = _normalize_phases(u, sigma, v)
-    return SliceSvd(u=u, sigma=sigma, v=v)
+    if not d.imag.any():
+        d = d.real
+    u, sigma, vh = _svd(d)
+    u, v = _normalize_phases(u, sigma, vh.conj().T)
+    return SliceSvd(u=u.astype(complex, copy=False), sigma=sigma,
+                    v=v.astype(complex, copy=False))
+
+
+def _independent_half(spec):
+    """Slices 0..p//2 of a real tensor's spectrum, self-paired ones exactly real.
+
+    Self-paired slices are real up to roundoff; dropping the residue keeps
+    whatever is computed from them exactly conjugate symmetric, so the inverse
+    transform is real by construction.
+    """
+    p = spec.shape[2]
+    half = spec[:, :, : p // 2 + 1].copy()
+    half.imag[:, :, 0] = 0.0
+    if p % 2 == 0:
+        half.imag[:, :, p // 2] = 0.0
+    return half
+
+
+def _idft_half(half, p):
+    """Inverse transform of the length-p spectrum whose slices 0..p//2 are `half`."""
+    mirror = half[:, :, 1 : (p + 1) // 2][:, :, ::-1].conj()
+    return idft_mode3(np.concatenate([half, mirror], axis=2))
+
+
+def _factor_slices(half):
+    """``complex_svd`` of each slice: u (m, m, h), sigma (r, h), v (n, n, h)."""
+    factors = [complex_svd(half[:, :, k]) for k in range(half.shape[2])]
+    return (
+        np.stack([f.u for f in factors], axis=2),
+        np.stack([f.sigma for f in factors], axis=1),
+        np.stack([f.v for f in factors], axis=2),
+    )

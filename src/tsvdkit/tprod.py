@@ -11,7 +11,13 @@ from .core import (
     transpose,
     unfold,
 )
-from .spectral import complex_svd, dft_mode3, idft_mode3
+from .spectral import (
+    _factor_slices,
+    _idft_half,
+    _independent_half,
+    dft_mode3,
+    idft_mode3,
+)
 
 __all__ = [
     "tprod",
@@ -81,13 +87,14 @@ def is_orthogonal(q, tol=1e-10):
 
 
 def _oriented_q(mat):
-    # QR orthonormalization with the R-diagonal phase folded into Q, so the
-    # factor is a deterministic function of the input.
+    # QR orthonormalization of each matrix in a stack, with the R-diagonal
+    # phase folded into Q, so the factor is a deterministic function of the
+    # input.
     q, r = np.linalg.qr(mat)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     safe = np.abs(d)
     phases = np.where(safe > 0, d / np.where(safe > 0, safe, 1.0), 1.0)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def random_orthogonal(n, p, seed):
@@ -100,17 +107,14 @@ def random_orthogonal(n, p, seed):
     if n < 1 or p < 1:
         raise ValueError(f"random_orthogonal needs n, p >= 1, got ({n}, {p})")
     rng = np.random.default_rng(seed)
-    spec = np.empty((n, n, p), dtype=complex)
-    for k in range(p // 2 + 1):
-        mirror = (p - k) % p
-        if mirror == k:
-            spec[:, :, k] = _oriented_q(rng.standard_normal((n, n)))
+    half = p // 2 + 1
+    z = np.empty((half, n, n), dtype=complex)
+    for k in range(half):
+        if (p - k) % p == k:
+            z[k] = rng.standard_normal((n, n))
         else:
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            q = _oriented_q(z)
-            spec[:, :, k] = q
-            spec[:, :, mirror] = q.conj()
-    return idft_mode3(spec)
+            z[k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _idft_half(_oriented_q(z).transpose(1, 2, 0), p)
 
 
 def tinverse(a, tol=1e-12):
@@ -124,31 +128,12 @@ def tinverse(a, tol=1e-12):
     n, n2, p = a.shape
     if n != n2:
         raise ValueError(f"t-inverse needs square frontal slices, got {n}x{n2}")
-    spec = dft_mode3(a)
-    half = p // 2 + 1
-    factors = [None] * half
-    sigma_by_slice = np.empty((p, n))
-    for k in range(half):
-        mirror = (p - k) % p
-        sl = spec[:, :, k]
-        if mirror == k:
-            sl = sl.real.astype(complex)
-        f = complex_svd(sl)
-        factors[k] = f
-        sigma_by_slice[k] = f.sigma
-        if mirror != k:
-            sigma_by_slice[mirror] = f.sigma
-    sigma_max = sigma_by_slice[:, 0].max()
-    for k in range(p):
-        smallest = sigma_by_slice[k, -1]
-        if smallest <= tol * sigma_max:
-            raise SingularSliceError(k + 1, smallest)
-    inv = np.empty((n, n, p), dtype=complex)
-    for k in range(half):
-        f = factors[k]
-        slice_inv = (f.v / f.sigma) @ f.u.conj().T
-        inv[:, :, k] = slice_inv
-        mirror = (p - k) % p
-        if mirror != k:
-            inv[:, :, mirror] = slice_inv.conj()
-    return idft_mode3(inv)
+    u, sigma, v = _factor_slices(_independent_half(dft_mode3(a)))
+    # A mirrored slice shares its partner's singular values and comes later,
+    # so the first singular slice is always in the independent half.
+    singular = np.flatnonzero(sigma[-1] <= tol * sigma[0].max())
+    if singular.size:
+        k = int(singular[0])
+        raise SingularSliceError(k + 1, sigma[-1, k])
+    inv = np.matmul((v / sigma).transpose(2, 0, 1), u.conj().transpose(2, 1, 0))
+    return _idft_half(inv.transpose(1, 2, 0), p)

@@ -34,10 +34,3 @@ def fdiagonal_fixture_image():
 def rng():
     return np.random.default_rng(20240817)
 
-
-@pytest.fixture(autouse=True)
-def _reset_worker_cap():
-    yield
-    from tsvdkit import set_max_workers
-
-    set_max_workers(1)

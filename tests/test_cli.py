@@ -212,27 +212,14 @@ class TestTprodCommand:
         assert "inner dimensions" in err
 
 
-class TestThreadsEnv:
-    def test_parallel_result_identical(self, tmp_path, fixture_file, capsys,
-                                       monkeypatch):
-        prefix1 = str(tmp_path / "serial")
-        monkeypatch.setenv("TSVDKIT_THREADS", "1")
-        code, out1, _ = run_cli(["tsvd", fixture_file, "--out", prefix1], capsys)
-        assert code == 0
-        prefix2 = str(tmp_path / "parallel")
-        monkeypatch.setenv("TSVDKIT_THREADS", "4")
-        code, out2, _ = run_cli(["tsvd", fixture_file, "--out", prefix2], capsys)
-        assert code == 0
-        for suffix in (".u", ".s", ".v"):
-            assert np.array_equal(
-                read_tensor(prefix1 + suffix), read_tensor(prefix2 + suffix)
-            )
+def test_lapack_failure_exits_numerical(fixture_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    def test_invalid_value_rejected(self, fixture_file, capsys, monkeypatch):
-        monkeypatch.setenv("TSVDKIT_THREADS", "lots")
-        code, _, err = run_cli(["rank", fixture_file], capsys)
-        assert code == 2
-        assert "TSVDKIT_THREADS" in err
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, _, err = run_cli(["rank", fixture_file], capsys)
+    assert code == 3
+    assert "numerical failure" in err
 
 
 def test_console_entry_point(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsvdkit import (
     best_trank_one,
@@ -328,18 +330,6 @@ class TestTubalRankFactorization:
             assert frobenius_norm(a - tprod(b, c)) > lam_r / 2.0
 
 
-def test_worker_cap_does_not_change_results(rng):
-    from tsvdkit import set_max_workers
-
-    a = rng.standard_normal((6, 5, 6))
-    serial = tsvd(a)
-    set_max_workers(4)
-    parallel = tsvd(a)
-    assert np.array_equal(serial.u, parallel.u)
-    assert np.array_equal(serial.s, parallel.s)
-    assert np.array_equal(serial.v, parallel.v)
-
-
 class TestInvarianceProperty:
     def test_mapping_invariant_under_orthogonal_products(self, rng):
         for seed in range(10):
@@ -359,3 +349,31 @@ class TestInvarianceProperty:
             )
             assert ra.t_rank == rb.t_rank
             assert ra.tubal_rank == rb.tubal_rank
+
+
+class TestScaling:
+    """The mapping is homogeneous: S(c a) = c S(a).  Powers of two scale
+    exactly, so every answer must carry over across the float64 range."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-1000, 1000),
+    )
+    def test_results_scale_with_the_input(self, dims, seed, k):
+        a = np.random.default_rng(seed).standard_normal(dims)
+        c = 2.0**k
+        ca = c * a
+        ra = singular_values(a)
+        rc = singular_values(ca)
+        gate = 1e-12 * ra.singular_values[0]
+        np.testing.assert_allclose(rc.singular_values / c, ra.singular_values,
+                                   rtol=0, atol=gate)
+        np.testing.assert_allclose(rc.t_singular_values / c, ra.t_singular_values,
+                                   rtol=0, atol=gate)
+        assert rc.t_rank == ra.t_rank
+        assert rc.tubal_rank == ra.tubal_rank
+        norm = frobenius_norm(ca)
+        assert norm / c == pytest.approx(frobenius_norm(a), rel=1e-14)
+        assert frobenius_norm(ca - reconstruct(tsvd(ca))) <= 1e-9 * norm
