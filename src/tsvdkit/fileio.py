@@ -9,7 +9,8 @@ A tensor file is a text document with two fields::
 ``data[(k-1)*m*n + (i-1)*n + (j-1)]`` is the (i, j, k) entry (1-based).
 Values are written with full round-trip precision, so write/read is
 bit-exact.  Blank lines and ``#`` comments are ignored; a bracketed list may
-span several lines.
+span any number of lines, and reading and writing take time linear in the
+file size.
 """
 
 import numpy as np
@@ -52,6 +53,26 @@ def _parse_floats(tokens, source, lineno):
                 f"finite: {tok!r}"
             )
     return out
+
+
+def _parse_data(body, source, lineno):
+    """Parse the 'data' list in one ``float()`` pass.
+
+    ``float()`` skips the whitespace around a token and rejects an empty one,
+    so whatever it accepts the per-token path accepts too.  Anything it
+    rejects, and any non-finite value, goes through the per-token path, which
+    decides and builds the line-numbered diagnostic.
+    """
+    body = body.strip()
+    if body.startswith("[") and body.endswith("]"):
+        try:
+            out = np.fromiter(map(float, body[1:-1].split(",")), float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    return _parse_floats(_split_list(body, "data", source, lineno), source, lineno)
 
 
 def _split_list(body, key, source, lineno):
@@ -98,7 +119,7 @@ def _parse(text, source):
             start_line = lineno
         else:
             chunks.append(line)
-        if chunks and "".join(chunks).strip().endswith("]"):
+        if line.endswith("]"):
             fields[key] = " ".join(chunks)
             starts[key] = start_line
             key = None
@@ -124,8 +145,7 @@ def _parse(text, source):
             f"{source}:{dims_line}: 'dims' entries must be positive, got {dims}"
         )
     data_line = starts["data"]
-    data = _parse_floats(_split_list(fields["data"], "data", source, data_line),
-                         source, data_line)
+    data = _parse_data(fields["data"], source, data_line)
     if data.size != m * n * p:
         raise TensorFormatError(
             f"{source}:{data_line}: 'data' has {data.size} entries, "
@@ -148,4 +168,6 @@ def write_tensor(path, a):
     flat = a.transpose(2, 0, 1).ravel()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dims = [{m}, {n}, {p}]\n")
-        fh.write("data = [" + ", ".join(repr(float(x)) for x in flat) + "]\n")
+        # A list's repr is "[" + ", ".join(map(repr, items)) + "]", and a
+        # float's repr is its shortest round-trip form.
+        fh.write("data = " + repr(flat.tolist()) + "\n")

@@ -141,13 +141,15 @@ def sigma1_upper_bound_check(a):
     """Verify the top singular value dominates every entry magnitude."""
     a = as_tensor(a)
     s1 = sigma1(a)
-    return bool(s1 + 1e-10 * (1.0 + s1) >= np.abs(a).max())
+    return bool(s1 * (1.0 + 1e-10) >= np.abs(a).max())
 
 
 def km_equal(a, b, tol=1e-8):
     """True iff the two tensors have the same mapping image.
 
-    Uses a mixed gate: ``||S(a) - S(b)||_F <= tol * (1 + ||S(a)||_F)``.
+    Uses a relative gate,
+    ``||S(a) - S(b)||_F <= tol * max(||S(a)||_F, ||S(b)||_F)``, so the answer
+    does not depend on the scale of the inputs and two zero tensors are equal.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -155,4 +157,5 @@ def km_equal(a, b, tol=1e-8):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     sa = km_mapping(a)
     sb = km_mapping(b)
-    return bool(frobenius_norm(sa - sb) <= tol * (1.0 + frobenius_norm(sa)))
+    scale = max(frobenius_norm(sa), frobenius_norm(sb))
+    return bool(frobenius_norm(sa - sb) <= tol * scale)

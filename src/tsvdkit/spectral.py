@@ -40,19 +40,19 @@ def idft_mode3(d, residue_tol=IMAG_RESIDUE_TOL):
     """Inverse DFT along tubes of a conjugate-symmetric complex array.
 
     Returns the real part after checking that every entry's imaginary residue
-    is at most ``residue_tol * (1 + max modulus)``; a larger residue raises
-    ValueError because the input cannot be the transform of a real tensor.
+    is at most ``residue_tol * max modulus``, a gate relative to the scale of
+    the result; a larger residue raises ValueError because the input cannot be
+    the transform of a real tensor.  A zero spectrum passes.
     """
     d = np.asarray(d, dtype=complex)
     if d.ndim != 3:
         raise ValueError(f"expected a third-order spectrum, got {d.ndim} axes")
     x = np.fft.ifft(d, axis=2)
-    scale = 1.0 + np.abs(x).max()
     residue = np.abs(x.imag).max()
-    if residue > residue_tol * scale:
+    if residue > residue_tol * np.abs(x).max():
         raise ValueError(
             f"inverse transform is not real: imaginary residue {residue:.3e} "
-            f"exceeds {residue_tol:.1e} * (1 + max modulus); "
+            f"exceeds {residue_tol:.1e} * max modulus; "
             "input lacks conjugate symmetry"
         )
     return np.ascontiguousarray(x.real)

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from tsvdkit import frobenius_norm, read_tensor, tprod, transpose, write_tensor
+from tsvdkit import cli
 from tsvdkit.cli import main
 
 from conftest import fdiagonal_fixture, fdiagonal_fixture_image
@@ -182,6 +184,30 @@ class TestVerifyCommand:
         assert report["sigma1_bound"] == "pass"
         assert "orthogonal_invariance" not in report
         assert "subadditivity" not in report
+
+    @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0**-1000])
+    def test_checks_are_relative(self, tmp_path, capsys, monkeypatch, c):
+        a = np.zeros((3, 4, 5))
+        a[2, 1, 3] = -2.5 * c  # sigma_1 equals the entry's magnitude
+        path = tmp_path / "small.tensor"
+        write_tensor(path, a)
+        argv = ["verify", str(path), "--trials", "0"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        true_tsvd, true_sigma1 = cli.tsvd, cli.sigma1
+
+        def perturbed_tsvd(x):
+            fac = true_tsvd(x)
+            return dataclasses.replace(fac, s=1.01 * fac.s)
+
+        monkeypatch.setattr(cli, "tsvd", perturbed_tsvd)
+        monkeypatch.setattr(cli, "sigma1", lambda x: 0.9 * true_sigma1(x))
+        code, out, _ = run_cli(argv, capsys)
+        report = parse_report(out)
+        assert code == 3
+        assert report["reconstruction"] == "fail"
+        assert report["sigma1_bound"] == "fail"
+        assert report["reconstruction_tol"] == "1.0000000000000001e-09"
 
     def test_deterministic_output(self, fixture_file, capsys):
         code1, out1, _ = run_cli(["verify", fixture_file, "--seed", "9"], capsys)

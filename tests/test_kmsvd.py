@@ -21,6 +21,7 @@ from tsvdkit import (
     truncate_trank,
     tsvd,
 )
+from tsvdkit import kmsvd
 
 from conftest import fdiagonal_fixture, fdiagonal_fixture_image, random_tensor
 
@@ -273,6 +274,15 @@ class TestSigma1Bound:
         a[2, 1, 3] = -2.5
         assert sigma1(a) == pytest.approx(2.5, abs=1e-10)
 
+    @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0**-1000, 2.0**1000])
+    def test_gate_is_relative(self, monkeypatch, c):
+        a = np.zeros((3, 4, 5))
+        a[2, 1, 3] = -2.5 * c  # sigma_1 equals the entry's magnitude
+        assert sigma1_upper_bound_check(a)
+        true_sigma1 = kmsvd.sigma1
+        monkeypatch.setattr(kmsvd, "sigma1", lambda x: 0.9 * true_sigma1(x))
+        assert not sigma1_upper_bound_check(a)
+
     def test_subadditivity(self, rng):
         for _ in range(20):
             m, n, p = 4, 3, 4
@@ -299,6 +309,19 @@ class TestKmEqual:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             km_equal(rng.standard_normal((3, 3, 2)), rng.standard_normal((3, 3, 3)))
+
+    @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0**-1000, 2.0**1000])
+    def test_gate_is_relative(self, c):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 3, 4))
+        b = rng.standard_normal((3, 3, 4))
+        y = random_orthogonal(3, 4, 5)
+        z = random_orthogonal(3, 4, 6)
+        assert not km_equal(c * a, c * b)
+        assert km_equal(c * a, tprod(y, tprod(c * a, transpose(z))))
+
+    def test_zero_tensors_equal(self):
+        assert km_equal(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), tol=1e-15)
 
 
 class TestTubalRankFactorization:

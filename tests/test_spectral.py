@@ -84,6 +84,18 @@ class TestIdft:
         with pytest.raises(ValueError, match="conjugate symmetry"):
             idft_mode3(spec)
 
+    @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0**-1000, 2.0**1000])
+    def test_residue_gate_is_relative(self, rng, c):
+        a = c * rng.standard_normal((2, 2, 3))
+        spec = dft_mode3(a)
+        np.testing.assert_allclose(idft_mode3(spec), a, rtol=0, atol=1e-12 * c)
+        spec[0, 0, 1] += 0.5j * c
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            idft_mode3(spec)
+
+    def test_zero_spectrum_passes(self):
+        assert not idft_mode3(np.zeros((2, 2, 3), dtype=complex)).any()
+
 
 class TestComplexSvd:
     def test_diagonal_matrix(self):
