@@ -90,8 +90,9 @@ def bcirc_inverse(mat, m, n, p, tol=1e-9):
     """Recover the tensor whose block circulant matrix is `mat`.
 
     `mat` must be (m*p, n*p) with circulant block structure; any block that
-    deviates from the first block column by more than `tol` (absolute, per
-    entry) raises ValueError.  The extraction itself is a pure slice, so
+    deviates from the first block column by more than `tol` times the largest
+    entry magnitude (a relative gate, per entry) raises ValueError; a zero
+    matrix passes.  The extraction itself is a pure slice, so
     ``bcirc_inverse(bcirc(a), ...)`` returns `a` exactly.
     """
     mat = np.asarray(mat, dtype=float)
@@ -104,10 +105,10 @@ def bcirc_inverse(mat, m, n, p, tol=1e-9):
         )
     a = fold(mat[:, :n], p)
     deviation = np.abs(bcirc(a) - mat).max()
-    if deviation > tol:
+    if deviation > tol * np.abs(mat).max():
         raise ValueError(
             f"matrix is not block circulant: max block deviation {deviation:.3e} "
-            f"exceeds tolerance {tol:.3e}"
+            f"exceeds tolerance {tol:.3e} * max magnitude"
         )
     return a
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _norm2, as_tensor, frobenius_norm, transpose
-from .spectral import _factor_slices, _idft_half, _independent_half, _svd, dft_mode3
+from .spectral import _from_half, _half, _svd, complex_svd, dft_mode3
 from .tprod import tprod
 
 __all__ = [
@@ -55,11 +55,10 @@ def km_mapping(a):
     a = as_tensor(a)
     m, n, p = a.shape
     r = min(m, n)
-    half = _independent_half(dft_mode3(a))
-    vals = _svd(half.transpose(2, 0, 1), compute_uv=False)  # (slices, r)
-    sig = np.zeros((m, n, half.shape[2]))
-    sig[np.arange(r), np.arange(r), :] = vals.T
-    return _idft_half(sig, p)
+    vals = _svd(_half(dft_mode3(a)), compute_uv=False)  # (slices, r)
+    sig = np.zeros((vals.shape[0], m, n))
+    sig[:, np.arange(r), np.arange(r)] = vals
+    return _from_half(sig, p)
 
 
 def tsvd(a):
@@ -67,10 +66,14 @@ def tsvd(a):
     a = as_tensor(a)
     m, n, p = a.shape
     r = min(m, n)
-    u, sigma, v = _factor_slices(_independent_half(dft_mode3(a)))
-    s = np.zeros((m, n, sigma.shape[1]))
-    s[np.arange(r), np.arange(r), :] = sigma
-    return TSvd(u=_idft_half(u, p), s=_idft_half(s, p), v=_idft_half(v, p))
+    factors = [complex_svd(d) for d in _half(dft_mode3(a))]
+    s = np.zeros((len(factors), m, n))
+    s[:, np.arange(r), np.arange(r)] = [f.sigma for f in factors]
+    return TSvd(
+        u=_from_half(np.stack([f.u for f in factors]), p),
+        s=_from_half(s, p),
+        v=_from_half(np.stack([f.v for f in factors]), p),
+    )
 
 
 def default_rank_threshold(shape, sigma1):

@@ -4,8 +4,9 @@ The forward transform is the unnormalized DFT along tubes (third axis); the
 inverse carries the 1/p factor.  Transforms of real tensors are conjugate
 symmetric along the third axis: slice p - k is the conjugate of slice k and
 slice 0 (plus slice p/2 for even p) is real.  Only the first p // 2 + 1
-slices are independent, so per-slice work runs on that half and the rest of
-the spectrum is rebuilt by conjugation.
+slices are independent, so per-slice work runs on that half, held as a
+slice-major (p // 2 + 1, m, n) stack, and one ``irfft`` of length p turns
+the result back into a real tensor.
 """
 
 from dataclasses import dataclass
@@ -116,32 +117,24 @@ def complex_svd(d):
                     v=v.astype(complex, copy=False))
 
 
-def _independent_half(spec):
-    """Slices 0..p//2 of a real tensor's spectrum, self-paired ones exactly real.
+def _half(spec):
+    """Slices 0..p//2 of a real tensor's spectrum as a (p//2+1, m, n) stack.
 
-    Self-paired slices are real up to roundoff; dropping the residue keeps
-    whatever is computed from them exactly conjugate symmetric, so the inverse
-    transform is real by construction.
+    Self-paired slices are real up to roundoff; their imaginary part is
+    zeroed so that they take LAPACK's real driver.
     """
     p = spec.shape[2]
-    half = spec[:, :, : p // 2 + 1].copy()
-    half.imag[:, :, 0] = 0.0
+    half = spec[:, :, : p // 2 + 1].transpose(2, 0, 1).copy()
+    half.imag[0] = 0.0
     if p % 2 == 0:
-        half.imag[:, :, p // 2] = 0.0
+        half.imag[p // 2] = 0.0
     return half
 
 
-def _idft_half(half, p):
-    """Inverse transform of the length-p spectrum whose slices 0..p//2 are `half`."""
-    mirror = half[:, :, 1 : (p + 1) // 2][:, :, ::-1].conj()
-    return idft_mode3(np.concatenate([half, mirror], axis=2))
+def _from_half(stack, p):
+    """Real (m, n, p) tensor whose spectrum has slices 0..p//2 equal to `stack`.
 
-
-def _factor_slices(half):
-    """``complex_svd`` of each slice: u (m, m, h), sigma (r, h), v (n, n, h)."""
-    factors = [complex_svd(half[:, :, k]) for k in range(half.shape[2])]
-    return (
-        np.stack([f.u for f in factors], axis=2),
-        np.stack([f.sigma for f in factors], axis=1),
-        np.stack([f.v for f in factors], axis=2),
-    )
+    The other slices are the conjugate mirror, and the imaginary part of the
+    self-paired slices is ignored, so the result is real by construction.
+    """
+    return np.fft.irfft(stack, n=p, axis=0).transpose(1, 2, 0)

@@ -11,13 +11,7 @@ from .core import (
     transpose,
     unfold,
 )
-from .spectral import (
-    _factor_slices,
-    _idft_half,
-    _independent_half,
-    dft_mode3,
-    idft_mode3,
-)
+from .spectral import _from_half, _half, _svd, dft_mode3
 
 __all__ = [
     "tprod",
@@ -59,9 +53,7 @@ def tprod(a, b):
     a = as_tensor(a)
     b = as_tensor(b)
     _check_conformable(a, b)
-    fa = dft_mode3(a).transpose(2, 0, 1)
-    fb = dft_mode3(b).transpose(2, 0, 1)
-    return idft_mode3(np.matmul(fa, fb).transpose(1, 2, 0))
+    return _from_half(_half(dft_mode3(a)) @ _half(dft_mode3(b)), a.shape[2])
 
 
 def tprod_direct(a, b):
@@ -114,7 +106,7 @@ def random_orthogonal(n, p, seed):
             z[k] = rng.standard_normal((n, n))
         else:
             z[k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return _idft_half(_oriented_q(z).transpose(1, 2, 0), p)
+    return _from_half(_oriented_q(z), p)
 
 
 def tinverse(a, tol=1e-12):
@@ -128,12 +120,12 @@ def tinverse(a, tol=1e-12):
     n, n2, p = a.shape
     if n != n2:
         raise ValueError(f"t-inverse needs square frontal slices, got {n}x{n2}")
-    u, sigma, v = _factor_slices(_independent_half(dft_mode3(a)))
+    u, sigma, vh = _svd(_half(dft_mode3(a)))
     # A mirrored slice shares its partner's singular values and comes later,
     # so the first singular slice is always in the independent half.
-    singular = np.flatnonzero(sigma[-1] <= tol * sigma[0].max())
+    singular = np.flatnonzero(sigma[:, -1] <= tol * sigma[:, 0].max())
     if singular.size:
         k = int(singular[0])
-        raise SingularSliceError(k + 1, sigma[-1, k])
-    inv = np.matmul((v / sigma).transpose(2, 0, 1), u.conj().transpose(2, 1, 0))
-    return _idft_half(inv.transpose(1, 2, 0), p)
+        raise SingularSliceError(k + 1, sigma[k, -1])
+    inv = (vh.conj().swapaxes(1, 2) / sigma[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return _from_half(inv, p)

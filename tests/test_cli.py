@@ -161,6 +161,13 @@ class TestApproxCommand:
         code, _, _ = run_cli(["approx", fixture_file, "--rank", "1"], capsys)
         assert code == 2
 
+    def test_unknown_mode_rejected(self, tmp_path, fixture_file, capsys):
+        out = str(tmp_path / "x.tensor")
+        argv = ["approx", fixture_file, "--rank", "1", "--mode", "bogus", "--out", out]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "invalid choice" in err
+
 
 class TestVerifyCommand:
     def test_random_tensor_passes(self, tmp_path, capsys):
@@ -208,6 +215,30 @@ class TestVerifyCommand:
         assert report["reconstruction"] == "fail"
         assert report["sigma1_bound"] == "fail"
         assert report["reconstruction_tol"] == "1.0000000000000001e-09"
+
+    @pytest.mark.parametrize("c", [1.0, 1e-20, 1e20])
+    def test_subadditivity_partners_share_the_scale(self, tmp_path, capsys, monkeypatch, c):
+        a = c * np.random.default_rng(3).standard_normal((4, 3, 4))
+        path = tmp_path / "r.tensor"
+        write_tensor(path, a)
+        seen = []
+        true_sigma1 = cli.sigma1
+
+        def recording_sigma1(x):
+            seen.append(np.array(x))
+            return true_sigma1(x)
+
+        monkeypatch.setattr(cli, "sigma1", recording_sigma1)
+        trials = 4
+        code, out, _ = run_cli(["verify", str(path), "--trials", str(trials)], capsys)
+        assert code == 0
+        assert parse_report(out)["subadditivity"] == "pass"
+        # sigma1(a) once, then sigma1(a + partner) and sigma1(partner) per trial.
+        assert len(seen) == 1 + 2 * trials
+        norm_a = frobenius_norm(a)
+        for total, partner in zip(seen[1::2], seen[2::2]):
+            assert frobenius_norm(partner) == pytest.approx(norm_a, rel=1e-12)
+            np.testing.assert_allclose(total - partner, a, rtol=0, atol=1e-14 * c)
 
     def test_deterministic_output(self, fixture_file, capsys):
         code1, out1, _ = run_cli(["verify", fixture_file, "--seed", "9"], capsys)

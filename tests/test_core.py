@@ -87,6 +87,18 @@ class TestBcircInverse:
         with pytest.raises(ValueError, match="expected"):
             bcirc_inverse(np.eye(5), 2, 2, 3)
 
+    @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0**-1000, 2.0**1000])
+    def test_gate_is_relative(self, rng, c):
+        a = c * rng.standard_normal((2, 2, 3))
+        assert np.array_equal(bcirc_inverse(bcirc(a), 2, 2, 3), a)
+        mat = bcirc(a)
+        mat[0, 2] += 1e-3 * np.abs(mat).max()
+        with pytest.raises(ValueError, match="not block circulant"):
+            bcirc_inverse(mat, 2, 2, 3)
+
+    def test_zero_matrix_passes(self):
+        assert not bcirc_inverse(np.zeros((6, 4)), 3, 2, 2).any()
+
 
 class TestUnfoldFold:
     def test_p_equals_one(self, rng):

@@ -7,8 +7,14 @@ from tsvdkit import (
     dft_mode3,
     frobenius_norm,
     idft_mode3,
+    km_mapping,
+    random_orthogonal,
     singular_values,
+    tinverse,
+    tprod,
+    tsvd,
 )
+from tsvdkit.spectral import _from_half, _half
 
 from conftest import random_tensor
 
@@ -70,6 +76,27 @@ class TestIdft:
         np.testing.assert_allclose(
             idft_mode3(dft_mode3(a)), a, rtol=1e-12, atol=1e-12
         )
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    @pytest.mark.parametrize("m, n", [(3, 5), (4, 2), (1, 1)])
+    def test_half_route_round_trip(self, rng, m, n, p):
+        a = rng.standard_normal((m, n, p))
+        half = _half(dft_mode3(a))
+        assert half.shape == (p // 2 + 1, m, n)
+        assert not half[0].imag.any()
+        if p % 2 == 0:
+            assert not half[p // 2].imag.any()
+        np.testing.assert_allclose(_from_half(half, p), a, rtol=0, atol=1e-14 * p)
+
+    @pytest.mark.parametrize("p", [1, 4, 5])
+    def test_transform_ops_return_real_float64(self, rng, p):
+        a = rng.standard_normal((3, 2, p))
+        b = rng.standard_normal((2, 4, p))
+        fac = tsvd(a)
+        outputs = [tprod(a, b), km_mapping(a), fac.u, fac.s, fac.v,
+                   tinverse(rng.standard_normal((3, 3, p))), random_orthogonal(3, p, 7)]
+        for out in outputs:
+            assert out.dtype == np.float64
 
     def test_constant_spectrum_is_delta(self, rng):
         mat = rng.standard_normal((3, 2))
