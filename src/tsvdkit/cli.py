@@ -115,6 +115,8 @@ def _verify_checks(a, seed, trials):
 
 
 def cmd_verify(args):
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     a = read_tensor(args.input)
     _print_kv("input", args.input)
     _print_kv("seed", args.seed)

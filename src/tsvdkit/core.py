@@ -5,6 +5,8 @@ frontal slice is ``a[:, :, k]``.  Everything here is a pure index permutation
 or an elementwise reduction; no function mutates its input.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -44,6 +46,9 @@ def _norm2(x, axis=None):
     square over- or underflows.  The division is exact, so in range the result
     rounds exactly as the unscaled sum of squares does.
     """
+    if axis is None:
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(x).max()))[1] - 1)
+        return scale * np.linalg.norm(x / scale)
     big = np.abs(x).max(axis=axis, keepdims=True)
     scale = np.ldexp(1.0, np.frexp(big)[1] - 1)
     return np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)
@@ -119,10 +124,8 @@ def transpose(a):
     This is the unique permutation satisfying
     ``bcirc(transpose(a)) == bcirc(a).T`` entry for entry.
     """
-    a = as_tensor(a)
-    p = a.shape[2]
-    order = (-np.arange(p)) % p
-    return a[:, :, order].transpose(1, 0, 2).copy()
+    at = as_tensor(a).transpose(1, 0, 2)
+    return np.concatenate((at[:, :, :1], at[:, :, :0:-1]), axis=2)
 
 
 def identity_tensor(n, p):

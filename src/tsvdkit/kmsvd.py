@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _norm2, as_tensor, frobenius_norm, transpose
-from .spectral import _from_half, _half, _svd, complex_svd, dft_mode3
-from .tprod import tprod
+from .core import _norm2, as_tensor
+from .spectral import _from_half, _half, _rhalf, _svd, complex_svd, dft_mode3
+from .tprod import _check_conformable
 
 __all__ = [
     "TSvd",
@@ -50,15 +50,22 @@ class RankReport:
     threshold: float
 
 
+def _km_diag(a):
+    """The r = min(m, n) diagonal tubes of a validated tensor's image, as (r, p).
+
+    The image's off-diagonal entries are zero, so these tubes are all of it.
+    """
+    vals = _svd(_rhalf(a), compute_uv=False)  # (p//2+1, r)
+    return np.fft.irfft(vals, n=a.shape[2], axis=0).T
+
+
 def km_mapping(a):
     """Real f-diagonal image of `a`: inverse DFT of the slicewise singular values."""
     a = as_tensor(a)
-    m, n, p = a.shape
-    r = min(m, n)
-    vals = _svd(_half(dft_mode3(a)), compute_uv=False)  # (slices, r)
-    sig = np.zeros((vals.shape[0], m, n))
-    sig[:, np.arange(r), np.arange(r)] = vals
-    return _from_half(sig, p)
+    r = min(a.shape[0], a.shape[1])
+    s = np.zeros(a.shape)
+    s[np.arange(r), np.arange(r)] = _km_diag(a)
+    return s
 
 
 def tsvd(a):
@@ -90,14 +97,12 @@ def singular_values(a, tol=None):
     tubes.  `tol` defaults to ``eps * max(m, n) * p * sigma_1``.
     """
     a = as_tensor(a)
-    s = km_mapping(a)
-    r = min(a.shape[0], a.shape[1])
-    diag = s[np.arange(r), np.arange(r), :]
+    diag = _km_diag(a)
     sv = np.sort(np.abs(diag), axis=None)[::-1]
     lam = _norm2(diag, axis=1)
     if tol is None:
         tol = default_rank_threshold(a.shape, float(sv[0]))
-    elif tol < 0:
+    elif not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     return RankReport(
         singular_values=sv,
@@ -108,36 +113,56 @@ def singular_values(a, tol=None):
     )
 
 
+def _truncated(u_half, vt_half, diag, s, p):
+    """u * s_kept * transpose(v) from the half spectra of u and transpose(v).
+
+    s_kept keeps the s largest-magnitude entries of the middle factor's (r, p)
+    diagonal tubes `diag`, so slice k of the product is
+    ``u_k[:, :r] @ diag(c_k) @ vt_k[:r]``, c being the kept tubes' spectrum.
+    """
+    r = diag.shape[0]
+    total = p * r
+    if not 1 <= s <= total:
+        raise ValueError(f"kept-entry count must be in 1..{total}, got {s}")
+    flat = diag.T.ravel()  # slice-major: a stable sort breaks ties slice-then-row
+    keep = np.argsort(-np.abs(flat), kind="stable")[:s]
+    kept = np.zeros(total)
+    kept[keep] = flat[keep]
+    c = np.fft.rfft(kept.reshape(p, r), axis=0)
+    return _from_half((u_half[:, :, :r] * c[:, None, :]) @ vt_half[:, :r], p)
+
+
 def truncate_trank(fac, s):
     """Keep the s largest-magnitude diagonal entries of the middle factor.
 
     Ties are broken by slice-then-row position, ascending, so position
     (1, 1, 1) always hosts the top value.  Returns u * s_kept * transpose(v).
     """
-    m, n, p = fac.s.shape
-    r = min(m, n)
-    total = p * r
-    if not 1 <= s <= total:
-        raise ValueError(f"kept-entry count must be in 1..{total}, got {s}")
-    diag = fac.s[np.arange(r), np.arange(r), :]  # (r, p)
-    rows, slices = np.meshgrid(np.arange(r), np.arange(p), indexing="ij")
-    rows = rows.ravel()
-    slices = slices.ravel()
-    order = np.lexsort((rows, slices, -np.abs(diag).ravel()))
-    keep = order[:s]
-    s_kept = np.zeros_like(fac.s)
-    s_kept[rows[keep], rows[keep], slices[keep]] = diag[rows[keep], slices[keep]]
-    return tprod(fac.u, tprod(s_kept, transpose(fac.v)))
+    u, mid, v = as_tensor(fac.u), as_tensor(fac.s), as_tensor(fac.v)
+    _check_conformable(u, mid)
+    _check_conformable(mid, v.transpose(1, 0, 2))
+    r = min(mid.shape[0], mid.shape[1])
+    diag = mid[np.arange(r), np.arange(r)]
+    # The spectrum of transpose(v) is the conjugate transpose of v's slices.
+    vt_half = _rhalf(v).conj().swapaxes(1, 2)
+    return _truncated(_rhalf(u), vt_half, diag, s, mid.shape[2])
 
 
 def best_trank_one(a):
-    """Closest tensor (in Frobenius norm) with a single nonzero singular value."""
-    return truncate_trank(tsvd(a), 1)
+    """Closest tensor (in Frobenius norm) with a single nonzero singular value.
+
+    Equals ``truncate_trank(tsvd(a), 1)`` without the phase convention: a kept
+    term ``u_k[:, i] c v_k[:, i]^H`` is unchanged when both vectors share a phase.
+    """
+    a = as_tensor(a)
+    u, sigma, vh = _svd(_rhalf(a))
+    p = a.shape[2]
+    return _truncated(u, vh, np.fft.irfft(sigma, n=p, axis=0).T, 1, p)
 
 
 def sigma1(a):
     """Largest singular value; equals the mapping's (1, 1, 1) entry."""
-    return float(km_mapping(a)[0, 0, 0])
+    return float(_km_diag(as_tensor(a))[0, 0])
 
 
 def sigma1_upper_bound_check(a):
@@ -158,7 +183,8 @@ def km_equal(a, b, tol=1e-8):
     b = as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    sa = km_mapping(a)
-    sb = km_mapping(b)
-    scale = max(frobenius_norm(sa), frobenius_norm(sb))
-    return bool(frobenius_norm(sa - sb) <= tol * scale)
+    # The images' off-diagonal entries are zero, so their diagonal tubes
+    # carry every term of the three norms.
+    da = _km_diag(a)
+    db = _km_diag(b)
+    return bool(_norm2(da - db) <= tol * max(_norm2(da), _norm2(db)))

@@ -6,7 +6,9 @@ symmetric along the third axis: slice p - k is the conjugate of slice k and
 slice 0 (plus slice p/2 for even p) is real.  Only the first p // 2 + 1
 slices are independent, so per-slice work runs on that half, held as a
 slice-major (p // 2 + 1, m, n) stack, and one ``irfft`` of length p turns
-the result back into a real tensor.
+the result back into a real tensor.  Every op except ``tsvd`` takes the half
+straight from ``rfft`` (``_rhalf``); ``tsvd`` slices it out of the full
+``dft_mode3`` spectrum (``_half``) and factors it one ``complex_svd`` per slice.
 """
 
 from dataclasses import dataclass
@@ -129,6 +131,14 @@ def _half(spec):
     if p % 2 == 0:
         half.imag[p // 2] = 0.0
     return half
+
+
+def _rhalf(a):
+    """Slices 0..p//2 of the spectrum of a validated real tensor, as a stack.
+
+    ``rfft`` returns the self-paired slices exactly real.
+    """
+    return np.fft.rfft(a, axis=2).transpose(2, 0, 1)
 
 
 def _from_half(stack, p):

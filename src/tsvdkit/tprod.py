@@ -11,7 +11,7 @@ from .core import (
     transpose,
     unfold,
 )
-from .spectral import _from_half, _half, _svd, dft_mode3
+from .spectral import _from_half, _rhalf, _svd
 
 __all__ = [
     "tprod",
@@ -53,7 +53,7 @@ def tprod(a, b):
     a = as_tensor(a)
     b = as_tensor(b)
     _check_conformable(a, b)
-    return _from_half(_half(dft_mode3(a)) @ _half(dft_mode3(b)), a.shape[2])
+    return _from_half(_rhalf(a) @ _rhalf(b), a.shape[2])
 
 
 def tprod_direct(a, b):
@@ -98,14 +98,12 @@ def random_orthogonal(n, p, seed):
     """
     if n < 1 or p < 1:
         raise ValueError(f"random_orthogonal needs n, p >= 1, got ({n}, {p})")
-    rng = np.random.default_rng(seed)
-    half = p // 2 + 1
-    z = np.empty((half, n, n), dtype=complex)
-    for k in range(half):
-        if (p - k) % p == k:
-            z[k] = rng.standard_normal((n, n))
-        else:
-            z[k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # One draw holds, slice by slice, the real part and then (unless the slice
+    # is self-paired) the imaginary part: p matrices in all.
+    g = np.random.default_rng(seed).standard_normal((p, n, n))
+    z = np.zeros((p // 2 + 1, n, n), dtype=complex)
+    z.real[0], z.real[1:] = g[0], g[1::2]
+    z.imag[1 : (p + 1) // 2] = g[2::2]
     return _from_half(_oriented_q(z), p)
 
 
@@ -120,7 +118,7 @@ def tinverse(a, tol=1e-12):
     n, n2, p = a.shape
     if n != n2:
         raise ValueError(f"t-inverse needs square frontal slices, got {n}x{n2}")
-    u, sigma, vh = _svd(_half(dft_mode3(a)))
+    u, sigma, vh = _svd(_rhalf(a))
     # A mirrored slice shares its partner's singular values and comes later,
     # so the first singular slice is always in the independent half.
     singular = np.flatnonzero(sigma[:, -1] <= tol * sigma[:, 0].max())

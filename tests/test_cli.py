@@ -124,6 +124,12 @@ class TestRankCommand:
         assert report["t_rank"] == "2"  # only 12 and 6 exceed 5.5
         assert float(report["tol"]) == 5.5
 
+    def test_nan_tol_rejected(self, fixture_file, capsys):
+        code, out, err = run_cli(["rank", fixture_file, "--tol", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert ">= 0" in err
+
 
 class TestApproxCommand:
     def test_rank_one_residual(self, tmp_path, fixture_file, capsys):
@@ -191,6 +197,12 @@ class TestVerifyCommand:
         assert report["sigma1_bound"] == "pass"
         assert "orthogonal_invariance" not in report
         assert "subadditivity" not in report
+
+    def test_negative_trials_rejected(self, fixture_file, capsys):
+        code, out, err = run_cli(["verify", fixture_file, "--trials", "-3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--trials must be >= 0" in err
 
     @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0**-1000])
     def test_checks_are_relative(self, tmp_path, capsys, monkeypatch, c):

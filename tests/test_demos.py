@@ -1,5 +1,7 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Repository checks: every script under demos/ runs to completion, and the
+package imports nothing beyond numpy and the standard library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,3 +21,18 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_package_imports_only_numpy_and_the_stdlib():
+    # numpy is the one runtime dependency pyproject.toml declares.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted((ROOT / "src" / "tsvdkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from tsvdkit import (
     sigma1_upper_bound_check,
     singular_values,
     tprod,
+    tprod_direct,
     transpose,
     truncate_trank,
     tsvd,
@@ -33,6 +36,24 @@ def reconstruct(fac):
 def diagonal_tubes(s):
     r = min(s.shape[0], s.shape[1])
     return s[np.arange(r), np.arange(r), :]
+
+
+def kept_middle(s, count):
+    """`s` with all but its `count` largest-magnitude diagonal entries zeroed,
+    ties broken by slice, then row: the selection `truncate_trank` documents."""
+    m, n, p = s.shape
+    r = min(m, n)
+    diag = diagonal_tubes(s)
+    rows, slices = np.meshgrid(np.arange(r), np.arange(p), indexing="ij")
+    rows, slices = rows.ravel(), slices.ravel()
+    keep = np.lexsort((rows, slices, -np.abs(diag).ravel()))[:count]
+    kept = np.zeros_like(s)
+    kept[rows[keep], rows[keep], slices[keep]] = diag[rows[keep], slices[keep]]
+    return kept
+
+
+def assert_close_relative(got, want, rtol):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 class TestKmMapping:
@@ -82,6 +103,13 @@ class TestKmMapping:
             np.testing.assert_allclose(
                 second, first, atol=1e-9 * (1 + first.max())
             )
+
+    def test_off_diagonal_entries_are_exactly_zero(self, rng):
+        for _ in range(20):
+            a = random_tensor(rng)
+            s = km_mapping(a)
+            assert is_f_diagonal(s, tol=0.0)
+            assert sigma1(a) == s[0, 0, 0]
 
 
 class TestTsvd:
@@ -175,6 +203,10 @@ class TestSingularValues:
         with pytest.raises(ValueError, match=">= 0"):
             singular_values(random_tensor(rng), tol=-1.0)
 
+    def test_rejects_nan_tol(self, rng):
+        with pytest.raises(ValueError, match=">= 0"):
+            singular_values(random_tensor(rng), tol=float("nan"))
+
 
 class TestNonSubAdditivityFixture:
     def test_summands_have_rank_one_but_sum_has_rank_five(self):
@@ -231,6 +263,63 @@ class TestTruncation:
             tail = np.sqrt((report.singular_values[s:] ** 2).sum())
             assert res == pytest.approx(tail, abs=1e-9 * (1 + tail))
 
+    def test_matches_block_circulant_composition(self, rng):
+        # Differential oracle: u * s_kept * transpose(v) on the literal
+        # block-circulant route, for every kept count.  The fixture's image
+        # has tied entries.
+        facs = [tsvd(fdiagonal_fixture())]
+        for _ in range(25):
+            facs.append(tsvd(random_tensor(rng, 6, 6, 6)))
+        for fac in facs:
+            m, n, p = fac.s.shape
+            for s in range(1, p * min(m, n) + 1):
+                middle = kept_middle(fac.s, s)
+                want = tprod_direct(fac.u, tprod_direct(middle, transpose(fac.v)))
+                assert_close_relative(truncate_trank(fac, s), want, 1e-12)
+
+    @pytest.mark.parametrize("field", ["u", "s", "v"])
+    def test_rejects_non_finite_factor(self, rng, field):
+        fac = tsvd(rng.standard_normal((3, 3, 4)))
+        for pos in [(0, 0, 0), (1, 1, 2), (0, 1, 0)]:
+            bad = getattr(fac, field).copy()
+            bad[pos] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                truncate_trank(dataclasses.replace(fac, **{field: bad}), 1)
+
+    def test_rejects_mismatched_factors(self, rng):
+        fac = tsvd(rng.standard_normal((3, 4, 5)))
+        with pytest.raises(ValueError, match="inner dimensions"):
+            truncate_trank(dataclasses.replace(fac, u=fac.u[:2, :2]), 1)
+        with pytest.raises(ValueError, match="inner dimensions"):
+            truncate_trank(dataclasses.replace(fac, v=fac.v[:3, :3]), 1)
+        with pytest.raises(ValueError, match="tube lengths"):
+            truncate_trank(dataclasses.replace(fac, v=fac.v[:, :, :4]), 1)
+
+    def test_energy_identity_with_repeated_singular_values(self, rng):
+        # Every singular value of an orthogonal tensor is 1, and equal tubes
+        # of an f-diagonal core repeat a value in every transform slice, so
+        # the singular vectors are not unique; the residual must still be
+        # the norm of the dropped singular values.
+        d = np.zeros((4, 3, 4))
+        d[0, 0] = d[1, 1] = [2.0, 1.0, 0.0, 1.0]
+        tensors = [
+            random_orthogonal(4, 5, 11),
+            3.0 * identity_tensor(3, 4),
+            tprod(random_orthogonal(4, 4, 5),
+                  tprod(d, transpose(random_orthogonal(3, 4, 6)))),
+        ]
+        for a in tensors:
+            sv = singular_values(a).singular_values
+            fac = tsvd(a)
+            norm2 = frobenius_norm(a) ** 2
+            pairs = [(1, best_trank_one(a))]
+            pairs += [(s, truncate_trank(fac, s)) for s in range(1, sv.size + 1)]
+            for s, approx in pairs:
+                res2 = frobenius_norm(a - approx) ** 2
+                assert res2 + frobenius_norm(approx) ** 2 == pytest.approx(
+                    norm2, rel=1e-12)
+                assert res2 == pytest.approx((sv[s:] ** 2).sum(), abs=1e-12 * norm2)
+
 
 class TestBestTrankOne:
     def test_result_has_t_rank_one(self, rng):
@@ -257,6 +346,20 @@ class TestBestTrankOne:
             d[0, 0, 0] = report.singular_values[0] * (0.5 + rng.random())
             competitor = tprod(q1, tprod(d, transpose(q2)))
             assert best <= frobenius_norm(a - competitor)
+
+    def test_matches_truncated_tsvd(self, rng):
+        # best_trank_one skips the phase convention; where every slice's
+        # singular values are apart the kept term is unique, and the two
+        # routes differ by about eps / gap.
+        checked = 0
+        while checked < 40:
+            a = random_tensor(rng, 6, 6, 6)
+            half = np.fft.rfft(a, axis=2).transpose(2, 0, 1)
+            sv = np.linalg.svd(half, compute_uv=False)
+            if (-np.diff(sv, axis=1) < 1e-3 * sv[:, :1]).any():
+                continue
+            assert_close_relative(best_trank_one(a), truncate_trank(tsvd(a), 1), 1e-12)
+            checked += 1
 
 
 class TestSigma1Bound:

@@ -16,8 +16,24 @@ from tsvdkit import (
     transpose,
     unfold,
 )
+from tsvdkit.spectral import _from_half
+from tsvdkit.tprod import _oriented_q
 
 from conftest import random_tensor
+
+
+def per_slice_draws(n, p, seed):
+    """The seeded stream random_orthogonal is pinned to: for each independent
+    transform slice in turn, a real part and, unless the slice is
+    self-paired, an imaginary part."""
+    rng = np.random.default_rng(seed)
+    z = np.empty((p // 2 + 1, n, n), dtype=complex)
+    for k in range(p // 2 + 1):
+        if (p - k) % p == k:
+            z[k] = rng.standard_normal((n, n))
+        else:
+            z[k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return z
 
 
 class TestTprod:
@@ -38,6 +54,14 @@ class TestTprod:
         b = rng.standard_normal((2, 5, 4))
         expected = fold(bcirc(a) @ unfold(b), 4)
         np.testing.assert_allclose(tprod(a, b), expected, atol=1e-12)
+
+    def test_matches_direct_product_on_random_shapes(self, rng):
+        for _ in range(100):
+            m, n, q, p = (int(x) for x in rng.integers(1, 7, size=4))
+            a = rng.standard_normal((m, n, p))
+            b = rng.standard_normal((n, q, p))
+            want = tprod_direct(a, b)
+            assert np.abs(tprod(a, b) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_inner_dim_mismatch(self, rng):
         with pytest.raises(ValueError, match="axis 1.*axis 0"):
@@ -110,6 +134,13 @@ class TestRandomOrthogonal:
     def test_orthogonal_for_shapes(self, n, p):
         assert is_orthogonal(random_orthogonal(n, p, 1234), tol=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_seeded_stream_is_pinned(self, seed):
+        for n in range(1, 7):
+            for p in range(1, 8):
+                want = _from_half(_oriented_q(per_slice_draws(n, p, seed)), p)
+                assert np.array_equal(random_orthogonal(n, p, seed), want)
+
 
 class TestTinverse:
     def test_identity(self):
@@ -148,6 +179,15 @@ class TestTinverse:
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError, match="square"):
             tinverse(rng.standard_normal((2, 3, 2)))
+
+    def test_matches_block_circulant_inverse(self, rng):
+        # bcirc(a)^-1 is block circulant; its first block column is the
+        # inverse tensor.
+        for _ in range(50):
+            n, p = (int(x) for x in rng.integers(1, 7, size=2))
+            a = rng.standard_normal((n, n, p)) + 3.0 * identity_tensor(n, p)
+            want = fold(np.linalg.inv(bcirc(a))[:, :n], p)
+            assert np.abs(tinverse(a) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestAlgebraProperties:
