@@ -38,6 +38,12 @@ def as_tensor(a):
     return arr
 
 
+def _check_tol(tol):
+    """Raise ValueError unless `tol` is a number >= 0 (NaN fails the test)."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
+
+
 def _norm2(x, axis=None):
     """Euclidean norm over `axis`, safe across the float64 range.
 
@@ -100,6 +106,7 @@ def bcirc_inverse(mat, m, n, p, tol=1e-9):
     matrix passes.  The extraction itself is a pure slice, so
     ``bcirc_inverse(bcirc(a), ...)`` returns `a` exactly.
     """
+    _check_tol(tol)
     mat = np.asarray(mat, dtype=float)
     if any(d < 1 for d in (m, n, p)):
         raise ValueError(f"tensor axes must be positive, got ({m}, {n}, {p})")
@@ -139,6 +146,7 @@ def identity_tensor(n, p):
 
 def is_f_diagonal(a, tol=0.0):
     """True iff every frontal slice is diagonal (off-diagonals <= tol)."""
+    _check_tol(tol)
     a = as_tensor(a)
     m, n, _ = a.shape
     off = ~np.eye(m, n, dtype=bool)

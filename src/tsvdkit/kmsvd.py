@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _norm2, as_tensor
+from .core import _check_tol, _norm2, as_tensor
 from .spectral import _from_half, _half, _rhalf, _svd, complex_svd, dft_mode3
 from .tprod import _check_conformable
 
@@ -102,8 +102,8 @@ def singular_values(a, tol=None):
     lam = _norm2(diag, axis=1)
     if tol is None:
         tol = default_rank_threshold(a.shape, float(sv[0]))
-    elif not tol >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    else:
+        _check_tol(tol)
     return RankReport(
         singular_values=sv,
         t_singular_values=lam,
@@ -179,6 +179,7 @@ def km_equal(a, b, tol=1e-8):
     ``||S(a) - S(b)||_F <= tol * max(||S(a)||_F, ||S(b)||_F)``, so the answer
     does not depend on the scale of the inputs and two zero tensors are equal.
     """
+    _check_tol(tol)
     a = as_tensor(a)
     b = as_tensor(b)
     if a.shape != b.shape:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_tensor
+from .core import _check_tol, as_tensor
 
 __all__ = [
     "dft_mode3",
@@ -47,6 +47,7 @@ def idft_mode3(d, residue_tol=IMAG_RESIDUE_TOL):
     the result; a larger residue raises ValueError because the input cannot be
     the transform of a real tensor.  A zero spectrum passes.
     """
+    _check_tol(residue_tol)
     d = np.asarray(d, dtype=complex)
     if d.ndim != 3:
         raise ValueError(f"expected a third-order spectrum, got {d.ndim} axes")

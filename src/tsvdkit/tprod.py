@@ -3,6 +3,7 @@
 import numpy as np
 
 from .core import (
+    _check_tol,
     as_tensor,
     bcirc,
     fold,
@@ -66,6 +67,7 @@ def tprod_direct(a, b):
 
 def is_orthogonal(q, tol=1e-10):
     """True iff q^T * q and q * q^T are both within `tol` of the identity."""
+    _check_tol(tol)
     q = as_tensor(q)
     n, n2, p = q.shape
     if n != n2:
@@ -81,12 +83,12 @@ def is_orthogonal(q, tol=1e-10):
 def _oriented_q(mat):
     # QR orthonormalization of each matrix in a stack, with the R-diagonal
     # phase folded into Q, so the factor is a deterministic function of the
-    # input.
+    # input.  LAPACK's Householder QR leaves diag(R) real, so the phase is a
+    # sign: negate the columns whose diagonal entry is negative (a zero entry
+    # keeps phase 1).
     q, r = np.linalg.qr(mat)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    safe = np.abs(d)
-    phases = np.where(safe > 0, d / np.where(safe > 0, safe, 1.0), 1.0)
-    return q * phases[..., None, :]
+    negative = np.diagonal(r, axis1=-2, axis2=-1).real < 0
+    return np.negative(q, out=q, where=negative[..., None, :])
 
 
 def random_orthogonal(n, p, seed):
@@ -114,6 +116,7 @@ def tinverse(a, tol=1e-12):
     singular value over all slices counts as singular and raises
     SingularSliceError naming the (1-based) slice.
     """
+    _check_tol(tol)
     a = as_tensor(a)
     n, n2, p = a.shape
     if n != n2:

@@ -96,6 +96,13 @@ class TestBcircInverse:
         with pytest.raises(ValueError, match="not block circulant"):
             bcirc_inverse(mat, 2, 2, 3)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_tol(self, rng, tol):
+        mat = bcirc(rng.standard_normal((2, 3, 4)))
+        mat[0, -1] += 1.0  # not block circulant, which a NaN gate would let through
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            bcirc_inverse(mat, 2, 3, 4, tol=tol)
+
     def test_zero_matrix_passes(self):
         assert not bcirc_inverse(np.zeros((6, 4)), 3, 2, 2).any()
 
@@ -165,6 +172,11 @@ class TestFDiagonal:
 
     def test_degenerate_width(self):
         assert is_f_diagonal(np.ones((1, 1, 3)))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            is_f_diagonal(np.zeros((3, 3, 2)), tol=tol)
 
 
 class TestValidation:

@@ -1,10 +1,15 @@
+import os
+import threading
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tsvdkit import TensorFormatError, read_tensor, write_tensor
+from tsvdkit import TensorFormatError, fileio, read_tensor, write_tensor
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
@@ -185,3 +190,213 @@ class TestLongListDiagnostics:
         # str.strip() removes the unit separator, float() does not.
         path = self.write_list(tmp_path, ["1.5"] * 3 + ["\x1f2.5\x1f"])
         assert read_tensor(path).ravel().tolist() == [1.5, 1.5, 1.5, 2.5]
+
+
+WRITE_CHUNK = fileio._WRITE_CHUNK
+READ_CHUNK = fileio._READ_CHUNK
+
+
+def reference_bytes(a):
+    """The file as one repr of the whole entry list."""
+    m, n, p = a.shape
+    return (f"dims = [{m}, {n}, {p}]\ndata = "
+            + repr(a.transpose(2, 0, 1).ravel().tolist()) + "\n").encode()
+
+
+def varied_values(rng, size):
+    """Entries whose text lengths vary, so chunk cuts land anywhere in them."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    values[rng.integers(0, size, size // 7)] = rng.choice(EDGE_VALUES, size // 7)
+    return values
+
+
+@pytest.fixture
+def streamed_only(monkeypatch):
+    """Fail the test if read_tensor hands the file to the whole-text parser."""
+    def refuse(text, source):
+        raise AssertionError(f"{source} was not parsed chunk by chunk")
+    monkeypatch.setattr(fileio, "_parse", refuse)
+
+
+def outcome(read):
+    try:
+        a = read()
+    except TensorFormatError as exc:
+        return "error", str(exc)
+    return "tensor", a.shape, a.tobytes()
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("size", [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
+                                      2 * WRITE_CHUNK + 1])
+    @pytest.mark.parametrize("layout", ["rows", "tubes", "slices"])
+    def test_bytes_match_one_repr(self, tmp_path, streamed_only, size, layout):
+        rng = np.random.default_rng(size)
+        shape = {"rows": (size, 1, 1), "tubes": (1, 1, size), "slices": (1, size, 1)}
+        a = varied_values(rng, size).reshape(shape[layout])
+        path = tmp_path / "t.tensor"
+        write_tensor(path, a)
+        assert path.read_bytes() == reference_bytes(a)
+        back = read_tensor(path)
+        assert np.array_equal(back.view(np.int64), a.view(np.int64))
+
+    def test_random_shapes_match_one_repr(self, tmp_path, streamed_only):
+        rng = np.random.default_rng(20261018)
+        path = tmp_path / "t.tensor"
+        for _ in range(200):
+            m, n, p = (int(d) for d in rng.integers(1, 19, size=3))
+            a = varied_values(rng, m * n * p).reshape(m, n, p)
+            write_tensor(path, a)
+            assert path.read_bytes() == reference_bytes(a)
+            assert np.array_equal(read_tensor(path).view(np.int64), a.view(np.int64))
+
+    @pytest.mark.parametrize("close_at", [2 * READ_CHUNK - 1, 2 * READ_CHUNK,
+                                          2 * READ_CHUNK + 1])
+    def test_closing_bracket_at_a_read_cut(self, tmp_path, streamed_only, close_at):
+        # "data = [" + pad + "1.5, " * (count - 1) + "1.5]": the "]" sits at
+        # index 6 + pad + 5 * count of its line, and the cuts at the chunk
+        # edges fall in a token, on a comma or on a space.
+        count, pad = divmod(close_at - 6, 5)
+        path = tmp_path / "t.tensor"
+        path.write_text(f"dims = [{count}, 1, 1]\ndata = [" + " " * pad
+                        + ", ".join(["1.5"] * count) + "]\n")
+        assert path.read_text().splitlines()[1][close_at] == "]"
+        assert read_tensor(path).ravel().tolist() == [1.5] * count
+
+    def test_crlf_comments_and_blank_lines(self, tmp_path, streamed_only):
+        path = tmp_path / "t.tensor"
+        path.write_bytes(
+            b"# header, with [brackets] = and commas\r\n\r\n"
+            b"dims = [2,  # rows\r\n  3, 2]\r\n"
+            b"data =  # the list starts on the next line\r\n"
+            b"\t[1.0, 2.0,  # ], not the end\r\n"
+            b"# a comment line between list lines\r\n"
+            b"\r\n"
+            b"   3.0\r\n, 4.0, 5.0, 6.0,\r\n"
+            b"7.0, 8.0, 9.0, 10.0, 11.0, 12.0]  # trailing comment\r\n"
+            b"# after the list\r\n"
+        )
+        a = read_tensor(path)
+        assert np.array_equal(a.transpose(2, 0, 1).ravel(), np.arange(1.0, 13.0))
+
+    def test_file_without_final_newline(self, tmp_path, streamed_only):
+        path = tmp_path / "t.tensor"
+        path.write_text("dims = [1, 1, 2]\ndata = [1.0, 2.0]")
+        assert read_tensor(path).ravel().tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("text", [
+        "data = [1.0, 2.0]\ndims = [2, 1, 1]\n",            # data before dims
+        "dims = [2, 1, 1]\ndata = [1.0, \x1f2.0\x1f]\n",     # padding float() rejects
+        "dims = [2, 1, 1]  # c\x0b\ndata = [1.0, 2.0]\n",     # a comment ended by \v
+        "dims = [2, 1, 1]\x1cdata = [1.0, 2.0]\n",            # two lines split by \x1c
+    ])
+    def test_other_valid_files_read_whole(self, tmp_path, text):
+        path = tmp_path / "t.tensor"
+        path.write_text(text)
+        assert read_tensor(path).ravel().tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("chunk", [16, READ_CHUNK])  # 16 cuts the comment
+    def test_comment_ends_an_entry(self, tmp_path, chunk):
+        # "1.0" and "5]" are two lines, joined as "1.0 5", never "1.05".
+        path = tmp_path / "t.tensor"
+        path.write_text("dims = [1, 1, 1]\ndata = [1.0# a comment\n5]\n")
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            with pytest.raises(TensorFormatError) as info:
+                read_tensor(path)
+        assert str(info.value) == (
+            f"{path}:2: field 'data' entry 1 is not a number: '1.0 5'"
+        )
+
+    def test_dims_too_large_for_memory(self, tmp_path):
+        # 7 PiB: no allocation can hold it, so the count check reports it.
+        path = tmp_path / "t.tensor"
+        path.write_text("dims = [1000000, 1000000, 1000]\ndata = [1.0]\n")
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == (
+            f"{path}:2: 'data' has 1 entries, expected m*n*p = 1000000000000000"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_gets_the_diagnostic(self, tmp_path):
+        # A pipe cannot be read twice, so it is read whole from the start.
+        fifo = tmp_path / "pipe.tensor"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_text, args=("dims = [1, 1, 2]\ndata = [1.0, oops]\n",),
+            daemon=True)
+        writer.start()
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(fifo)
+        writer.join(timeout=10)
+        assert str(info.value) == f"{fifo}:2: field 'data' entry 2 is not a number: 'oops'"
+
+    @pytest.mark.parametrize("where", ["second", "last"])
+    @pytest.mark.parametrize("token,message", [
+        ("oops", "entry {index} is not a number: 'oops'"),
+        (" nan ", "entry {index} is not finite: 'nan'"),
+        (" ", "has an empty list entry"),
+    ])
+    def test_bad_entry_diagnostic(self, tmp_path, where, token, message):
+        count = 3 * READ_CHUNK // 5
+        index = count // 2 if where == "second" else count - 1
+        tokens = ["1.5"] * count
+        tokens[index] = token
+        path = tmp_path / "t.tensor"
+        path.write_text(f"# header\ndims = [{count}, 1, 1]\n"
+                        "data = [" + ", ".join(tokens) + "]\n")
+        want = f"{path}:3: field 'data' " + message.format(index=index + 1)
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == want
+        with pytest.raises(TensorFormatError) as info:
+            fileio._parse(path.read_text(), str(path))
+        assert str(info.value) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 3),
+                                    st.sampled_from(["", ",", "[", "]", "#", "=", " ",
+                                                     "\n", "\r", "\x0b", "\x1c", "\x1f",
+                                                     "\x85", "nan", "1e999", "_", "-",
+                                                     "7", "dims = [1, 2, 2]",
+                                                     "data = [", "# ]\n"])),
+                          max_size=4),
+           chunk=st.sampled_from([16, 64, READ_CHUNK]))
+    def test_agrees_with_whole_text_parser(self, tmp_path_factory, edits, chunk):
+        text = ("# a [2x2x1] tensor\n"
+                "dims = [2, 2, 1]\n"
+                "data = [1.5, -2.0,  # first row\n"
+                "        3.25, 4e-300]\n")
+        for at, cut, insert in edits:
+            at %= len(text) + 1
+            text = text[:at] + insert + text[at + cut:]
+        path = tmp_path_factory.mktemp("fuzz") / "t.tensor"
+        path.write_bytes(text.encode())
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            got = outcome(lambda: read_tensor(path))
+        with open(path, encoding="utf-8") as fh:
+            want = outcome(lambda: fileio._parse(fh.read(), str(path)))
+        assert got == want
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A read or write holds the tensor and a bounded amount of its text."""
+
+    def test_peaks_follow_the_tensor_not_the_text(self, tmp_path):
+        a = np.random.default_rng(0).standard_normal((40, 40, 40))
+        path = tmp_path / "t.tensor"
+        write_peak = traced_peak(lambda: write_tensor(path, a))
+        read_peak = traced_peak(lambda: read_tensor(path))
+        file_bytes = path.stat().st_size  # 1.26 MiB beside a 0.49 MiB array
+        assert write_peak <= a.nbytes + (1 << 20)
+        # Less than the text held once beside the result.
+        assert read_peak <= file_bytes + a.nbytes

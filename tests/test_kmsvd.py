@@ -409,6 +409,13 @@ class TestKmEqual:
         a = rng.standard_normal((3, 3, 2))
         assert km_equal(a, a, tol=1e-15)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_tol(self, rng, tol):
+        # Either gate would make a tensor unequal to itself.
+        a = rng.standard_normal((3, 3, 2))
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            km_equal(a, a, tol=tol)
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             km_equal(rng.standard_normal((3, 3, 2)), rng.standard_normal((3, 3, 3)))

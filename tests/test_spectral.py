@@ -120,6 +120,13 @@ class TestIdft:
         with pytest.raises(ValueError, match="conjugate symmetry"):
             idft_mode3(spec)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_tol(self, rng, tol):
+        spec = dft_mode3(rng.standard_normal((2, 2, 3)))
+        spec[0, 0, 1] += 0.5j  # not symmetric, which a NaN gate would let through
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            idft_mode3(spec, residue_tol=tol)
+
     def test_zero_spectrum_passes(self):
         assert not idft_mode3(np.zeros((2, 2, 3), dtype=complex)).any()
 

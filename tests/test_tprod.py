@@ -112,6 +112,11 @@ class TestIsOrthogonal:
         for seed in range(5):
             assert is_orthogonal(random_orthogonal(4, 3, seed), tol=1e-10)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            is_orthogonal(identity_tensor(3, 4), tol=tol)
+
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError, match="square"):
             is_orthogonal(rng.standard_normal((3, 4, 2)))
@@ -133,6 +138,23 @@ class TestRandomOrthogonal:
     @pytest.mark.parametrize("n,p", [(1, 4), (3, 1), (5, 2), (4, 6), (2, 7)])
     def test_orthogonal_for_shapes(self, n, p):
         assert is_orthogonal(random_orthogonal(n, p, 1234), tol=1e-10)
+
+    def test_qr_leaves_r_diagonal_real(self, rng):
+        # _oriented_q folds only the sign of diag(R); that is the whole phase
+        # only while LAPACK's Householder QR keeps the diagonal exactly real.
+        for n in range(1, 9):
+            z = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+            r = np.linalg.qr(z)[1]
+            assert not np.diagonal(r, axis1=-2, axis2=-1).imag.any()
+
+    def test_oriented_q_has_nonnegative_r_diagonal(self, rng):
+        z = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        q = _oriented_q(z.copy())
+        r = q.conj().swapaxes(1, 2) @ z
+        assert np.diagonal(r, axis1=-2, axis2=-1).real.min() > 0
+        # A zero diagonal entry keeps phase 1: Q is returned as QR gives it.
+        zero = np.zeros((1, 3, 3), dtype=complex)
+        assert np.array_equal(_oriented_q(zero.copy()), np.linalg.qr(zero)[0])
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_seeded_stream_is_pinned(self, seed):
@@ -175,6 +197,13 @@ class TestTinverse:
         with pytest.raises(SingularSliceError) as info:
             tinverse(np.zeros((2, 2, 3)))
         assert info.value.slice_index == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_tol(self, tol):
+        # Under a NaN gate no slice is singular: the zero tensor would invert to NaNs.
+        for a in (np.zeros((2, 2, 3)), identity_tensor(2, 3)):
+            with pytest.raises(ValueError, match="tolerance must be >= 0"):
+                tinverse(a, tol=tol)
 
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError, match="square"):
