@@ -8,16 +8,19 @@ A tensor file is a text document with two fields::
 `data` lists the entries slice by slice, row-major within each slice:
 ``data[(k-1)*m*n + (i-1)*n + (j-1)]`` is the (i, j, k) entry (1-based).
 Values are written with full round-trip precision, so write/read is
-bit-exact.  Blank lines and ``#`` comments are ignored; a bracketed list may
-span any number of lines, and reading and writing take time linear in the
-file size.
+bit-exact.  Entries are ASCII decimal numerals: ``int()`` and ``float()``
+syntax without digit-group underscores or non-ASCII digits.  A leading UTF-8
+byte-order mark is skipped.  Blank lines and ``#`` comments are ignored; a
+bracketed list may span any number of lines, and reading and writing take
+time linear in the file size.
 
 Memory is bounded by the tensor, not by its text.  A write formats the list
 a fixed number of entries at a time, copying at most that many entries or one
 frontal slice.  A read parses a fixed number of characters at a time straight
 into the result array.  A read that meets anything outside that streamed form
 (a malformed file, or a valid one with ``data`` before ``dims``, a line break
-other than ``\\n`` outside the list, or a header line longer than a chunk)
+other than ``\\n`` outside the list, non-ASCII text outside comments, or a
+header line longer than a chunk)
 reads the file again whole with the line-by-line parser, which builds the
 diagnostic; so does an input that cannot seek, such as a pipe.
 """
@@ -42,11 +45,19 @@ class TensorFormatError(ValueError):
     """A tensor file violates the dims/data format."""
 
 
+def _numeral(convert, tok):
+    # int() and float() also read Python-only numerals, with digit-group
+    # underscores or non-ASCII digits; the format takes ASCII ones only.
+    if "_" in tok or not tok.isascii():
+        raise ValueError(tok)
+    return convert(tok)
+
+
 def _parse_ints(tokens, source, lineno):
     out = []
     for idx, tok in enumerate(tokens):
         try:
-            out.append(int(tok))
+            out.append(_numeral(int, tok))
         except ValueError:
             raise TensorFormatError(
                 f"{source}:{lineno}: field 'dims' entry {idx + 1} is not an "
@@ -59,7 +70,7 @@ def _parse_floats(tokens, source, lineno):
     out = np.empty(len(tokens))
     for idx, tok in enumerate(tokens):
         try:
-            out[idx] = float(tok)
+            out[idx] = _numeral(float, tok)
         except ValueError:
             raise TensorFormatError(
                 f"{source}:{lineno}: field 'data' entry {idx + 1} is not a "
@@ -192,6 +203,8 @@ def _read_streamed(fh):
     dims = field = out = None
     state, line, carry, pos = "head", "", "", 0
     for text, ends_line in _pieces(fh):
+        if "_" in text or not text.isascii():
+            raise ValueError("maybe a Python-only numeral")
         if state == "head":
             if any(c in text for c in _OTHER_BREAKS) or len(line) > _READ_CHUNK:
                 raise ValueError("not a plain header line")
@@ -256,7 +269,7 @@ def _read_streamed(fh):
 
 def read_tensor(path):
     """Read a tensor file; raises TensorFormatError with a line diagnostic."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         if fh.seekable():
             try:
                 return _read_streamed(fh)

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: equal values, signs of zeros included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_tensor(rng, max_m=8, max_n=8, max_p=6):
     m = int(rng.integers(1, max_m + 1))
     n = int(rng.integers(1, max_n + 1))

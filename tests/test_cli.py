@@ -87,6 +87,13 @@ class TestTsvdCommand:
 
 
 class TestRankCommand:
+    def test_python_only_numeral_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.tensor"
+        path.write_text("dims = [1, 1, 2]\ndata = [1_5, 2.0]\n")
+        code, out, err = run_cli(["rank", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "entry 1 is not a number: '1_5'" in err
+
     def test_worked_example(self, fixture_file, capsys):
         code, out, _ = run_cli(["rank", fixture_file], capsys)
         assert code == 0

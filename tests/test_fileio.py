@@ -1,3 +1,4 @@
+import codecs
 import os
 import threading
 import tracemalloc
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tsvdkit import TensorFormatError, fileio, read_tensor, write_tensor
+
+from conftest import same_bits
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
@@ -336,6 +339,8 @@ class TestChunkBoundaries:
         ("oops", "entry {index} is not a number: 'oops'"),
         (" nan ", "entry {index} is not finite: 'nan'"),
         (" ", "has an empty list entry"),
+        ("1_5", "entry {index} is not a number: '1_5'"),
+        ("\u0663", "entry {index} is not a number: '\u0663'"),
     ])
     def test_bad_entry_diagnostic(self, tmp_path, where, token, message):
         count = 3 * READ_CHUNK // 5
@@ -377,6 +382,78 @@ class TestChunkBoundaries:
         with open(path, encoding="utf-8") as fh:
             want = outcome(lambda: fileio._parse(fh.read(), str(path)))
         assert got == want
+
+
+class TestNumeralsAndEncoding:
+    @pytest.mark.parametrize("text,line,message", [
+        ("dims = [1, 1, 2]\ndata = [1_5, 2.0]\n", 2,
+         "field 'data' entry 1 is not a number: '1_5'"),
+        ("dims = [1, 1, 2]\ndata = [1.0, 2e1_0]\n", 2,
+         "field 'data' entry 2 is not a number: '2e1_0'"),
+        ("dims = [1, 1, 2]\ndata = [\u0663, 2.0]\n", 2,  # Arabic-Indic 3
+         "field 'data' entry 1 is not a number: '\u0663'"),
+        ("dims = [1, 1, 2]\ndata = [1.0, \uff12]\n", 2,  # fullwidth 2
+         "field 'data' entry 2 is not a number: '\uff12'"),
+        ("dims = [1_0, 1, 1]\ndata = [1.0]\n", 1,
+         "field 'dims' entry 1 is not an integer: '1_0'"),
+        ("dims = [1, 1, \u0662]\ndata = [1.0, 2.0]\n", 1,
+         "field 'dims' entry 3 is not an integer: '\u0662'"),
+    ])
+    def test_python_only_numerals_rejected(self, tmp_path, text, line, message):
+        path = tmp_path / "t.tensor"
+        path.write_text(text, encoding="utf-8")
+        want = f"{path}:{line}: {message}"
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == want
+        with pytest.raises(TensorFormatError) as info:
+            fileio._parse(text, str(path))
+        assert str(info.value) == want
+
+    def test_non_ascii_comment_streams(self, tmp_path, streamed_only):
+        path = tmp_path / "t.tensor"
+        path.write_text("# fa\u00e7ade \u0663_1\ndims = [1, 1, 2]  # \u00e9\n"
+                        "data = [1.5,  # \u00bd \u0663\n2.0]\n", encoding="utf-8")
+        assert read_tensor(path).ravel().tolist() == [1.5, 2.0]
+
+    def test_padding_that_strip_removes_reads(self, tmp_path):
+        path = tmp_path / "t.tensor"
+        path.write_text("dims = [\u00a01, 1, 2\u3000]\n"
+                        "data = [\u00a01.5\u2003, 2.0]\n", encoding="utf-8")
+        assert read_tensor(path).ravel().tolist() == [1.5, 2.0]
+
+    def bom_copy(self, path):
+        copy = path.with_suffix(".bom")
+        copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return copy
+
+    def test_byte_order_mark_skipped_when_streamed(self, tmp_path, streamed_only):
+        a = varied_values(np.random.default_rng(3), 2 * WRITE_CHUNK).reshape(16, 8, -1)
+        path = tmp_path / "t.tensor"
+        write_tensor(path, a)
+        assert path.read_bytes() == reference_bytes(a)  # written without a mark
+        assert same_bits(read_tensor(self.bom_copy(path)), a)
+
+    def test_byte_order_mark_skipped_when_read_again(self, tmp_path):
+        path = tmp_path / "t.tensor"
+        path.write_text("data = [1.0, 2.0]\ndims = [2, 1, 1]\n")  # read whole
+        assert same_bits(read_tensor(self.bom_copy(path)), read_tensor(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_byte_order_mark_skipped_in_a_pipe(self, tmp_path):
+        a = varied_values(np.random.default_rng(4), 60).reshape(3, 4, 5)
+        path = tmp_path / "t.tensor"
+        write_tensor(path, a)
+        fifo = tmp_path / "pipe.tensor"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(codecs.BOM_UTF8 + path.read_bytes(),),
+            daemon=True)
+        writer.start()
+        back = read_tensor(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert same_bits(back, a)
 
 
 def traced_peak(fn):

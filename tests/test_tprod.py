@@ -1,3 +1,6 @@
+import importlib
+import types
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,10 @@ from tsvdkit import (
 from tsvdkit.spectral import _from_half
 from tsvdkit.tprod import _oriented_q
 
-from conftest import random_tensor
+from conftest import random_tensor, same_bits
+
+# The package's `tprod` attribute is the function, so fetch the module itself.
+tprod_module = importlib.import_module("tsvdkit.tprod")
 
 
 def per_slice_draws(n, p, seed):
@@ -162,6 +168,86 @@ class TestRandomOrthogonal:
             for p in range(1, 8):
                 want = _from_half(_oriented_q(per_slice_draws(n, p, seed)), p)
                 assert np.array_equal(random_orthogonal(n, p, seed), want)
+
+
+def linalg_oriented_q(mat):
+    """_oriented_q as np.linalg.qr and the sign fold, the reference route."""
+    q, r = np.linalg.qr(mat)
+    negative = np.diagonal(r, axis1=-2, axis2=-1).real < 0
+    return np.negative(q, out=q, where=negative[..., None, :])
+
+
+def complex_stacks(rng):
+    for h in range(1, 6):
+        for n in range(1, 9):
+            shape = (h, n, n)
+            yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            yield rng.standard_normal(shape).astype(complex)
+            yield np.zeros(shape, dtype=complex)
+
+
+@pytest.fixture(params=["_qr_inplace", "_qr_linalg"])
+def qr_route(request, monkeypatch):
+    """Force _oriented_q through one QR route."""
+    monkeypatch.setattr(tprod_module, "_qr", getattr(tprod_module, request.param))
+
+
+class TestQrRoute:
+    def test_oriented_q_matches_linalg_formula(self, rng, qr_route):
+        for z in complex_stacks(rng):
+            assert same_bits(_oriented_q(z.copy()), linalg_oriented_q(z.copy()))
+
+    def test_other_inputs_are_copied(self, rng, qr_route):
+        x = rng.standard_normal((3, 5, 5))
+        kept = x.copy()
+        assert same_bits(_oriented_q(x), linalg_oriented_q(x.astype(complex)))
+        assert same_bits(x, kept)
+        big = rng.standard_normal((4, 6, 12)) + 1j * rng.standard_normal((4, 6, 12))
+        kept = big.copy()
+        view = big[:, :, ::2]  # not contiguous
+        assert same_bits(_oriented_q(view), linalg_oriented_q(view.copy()))
+        assert same_bits(big, kept)
+
+    def test_routes_give_identical_tensors(self, monkeypatch):
+        outputs = {}
+        for route in ("_qr_inplace", "_qr_linalg"):
+            monkeypatch.setattr(tprod_module, "_qr", getattr(tprod_module, route))
+            outputs[route] = [random_orthogonal(n, p, seed)
+                              for seed in (0, 7, 2**40 + 3)
+                              for n in range(1, 9) for p in range(1, 9)]
+        for fast, ref in zip(outputs["_qr_inplace"], outputs["_qr_linalg"]):
+            assert same_bits(fast, ref)
+
+    def test_inplace_route_is_selected(self, monkeypatch):
+        assert tprod_module._qr is tprod_module._qr_inplace
+        want = random_orthogonal(4, 3, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.qr was called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        assert same_bits(random_orthogonal(4, 3, 5), want)
+
+    def test_selection_rejects_missing_or_different_gufuncs(self, monkeypatch):
+        monkeypatch.setattr(tprod_module, "_umath_linalg", None)
+        assert not tprod_module._inplace_route_matches()
+        real = np.linalg._umath_linalg
+        off_by_one = types.SimpleNamespace(
+            qr_r_raw=real.qr_r_raw,
+            qr_reduced=lambda a, tau, signature: real.qr_reduced(a, tau) + 1,
+        )
+        monkeypatch.setattr(tprod_module, "_umath_linalg", off_by_one)
+        assert not tprod_module._inplace_route_matches()
+
+    def test_lapack_failure_raises_linalgerror(self, monkeypatch):
+        # A LAPACK failure surfaces as the invalid floating-point flag.
+        flags_invalid = types.SimpleNamespace(
+            qr_r_raw=lambda a, signature: np.sqrt(-np.ones(1)),
+            qr_reduced=None,
+        )
+        monkeypatch.setattr(tprod_module, "_umath_linalg", flags_invalid)
+        with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
+            tprod_module._qr_inplace(np.eye(2, dtype=complex)[None])
 
 
 class TestTinverse:
