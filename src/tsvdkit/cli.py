@@ -13,7 +13,8 @@ import numpy as np
 
 from .core import frobenius_norm, transpose
 from .fileio import TensorFormatError, read_tensor, write_tensor
-from .kmsvd import km_equal, km_mapping, sigma1, singular_values, truncate_trank, tsvd
+from .kmsvd import (SIGMA1_BOUND_SLACK, km_equal, sigma1, sigma1_upper_bound_check,
+                    singular_values, truncate_trank, tsvd)
 from .tprod import random_orthogonal, tprod
 
 EXIT_OK = 0
@@ -91,10 +92,10 @@ def _verify_checks(a, seed, trials):
     recon = frobenius_norm(a - tprod(fac.u, tprod(fac.s, transpose(fac.v))))
     yield ("reconstruction", RECONSTRUCTION_TOL, recon <= RECONSTRUCTION_TOL * norm_a)
 
-    s1 = sigma1(a)
-    yield ("sigma1_bound", 1e-10, s1 * (1.0 + 1e-10) >= np.abs(a).max())
+    yield ("sigma1_bound", SIGMA1_BOUND_SLACK, sigma1_upper_bound_check(a))
 
     if trials > 0:
+        s1 = sigma1(a)
         rng = np.random.default_rng(seed)
         ok = True
         for _ in range(trials):
@@ -115,8 +116,9 @@ def _verify_checks(a, seed, trials):
 
 
 def cmd_verify(args):
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     a = read_tensor(args.input)
     _print_kv("input", args.input)
     _print_kv("seed", args.seed)

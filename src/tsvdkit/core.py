@@ -22,13 +22,21 @@ __all__ = [
 ]
 
 
+def _real_array(x):
+    """`x` as float64; complex input raises ValueError, not a ComplexWarning."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"expected real entries, got complex dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def as_tensor(a):
     """Validate `a` as a dense real third-order tensor and return it as float64.
 
-    Raises ValueError if `a` is not three-dimensional, has an empty axis, or
-    contains non-finite entries.
+    Raises ValueError if `a` is complex, is not three-dimensional, has an
+    empty axis, or contains non-finite entries.
     """
-    arr = np.asarray(a, dtype=float)
+    arr = _real_array(a)
     if arr.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got {arr.ndim} axes")
     if min(arr.shape) < 1:
@@ -74,7 +82,7 @@ def unfold(a):
 
 def fold(mat, p):
     """Inverse of :func:`unfold`: reassemble p stacked slices into a tensor."""
-    mat = np.asarray(mat, dtype=float)
+    mat = _real_array(mat)
     if mat.ndim != 2:
         raise ValueError(f"fold expects a matrix, got {mat.ndim} axes")
     rows, n = mat.shape
@@ -107,7 +115,7 @@ def bcirc_inverse(mat, m, n, p, tol=1e-9):
     ``bcirc_inverse(bcirc(a), ...)`` returns `a` exactly.
     """
     _check_tol(tol)
-    mat = np.asarray(mat, dtype=float)
+    mat = _real_array(mat)
     if any(d < 1 for d in (m, n, p)):
         raise ValueError(f"tensor axes must be positive, got ({m}, {n}, {p})")
     if mat.shape != (m * p, n * p):

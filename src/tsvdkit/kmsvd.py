@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import _check_tol, _norm2, as_tensor
 from .spectral import _from_half, _half, _rhalf, _svd, complex_svd, dft_mode3
-from .tprod import _check_conformable
+from .tprod import _conformable
 
 __all__ = [
     "TSvd",
@@ -28,6 +28,8 @@ __all__ = [
     "km_equal",
     "default_rank_threshold",
 ]
+
+SIGMA1_BOUND_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,9 @@ def truncate_trank(fac, s):
     Ties are broken by slice-then-row position, ascending, so position
     (1, 1, 1) always hosts the top value.  Returns u * s_kept * transpose(v).
     """
-    u, mid, v = as_tensor(fac.u), as_tensor(fac.s), as_tensor(fac.v)
-    _check_conformable(u, mid)
-    _check_conformable(mid, v.transpose(1, 0, 2))
+    u, mid = _conformable(fac.u, fac.s)
+    v = as_tensor(fac.v)
+    _conformable(mid, v.transpose(1, 0, 2))
     r = min(mid.shape[0], mid.shape[1])
     diag = mid[np.arange(r), np.arange(r)]
     # The spectrum of transpose(v) is the conjugate transpose of v's slices.
@@ -169,7 +171,7 @@ def sigma1_upper_bound_check(a):
     """Verify the top singular value dominates every entry magnitude."""
     a = as_tensor(a)
     s1 = sigma1(a)
-    return bool(s1 * (1.0 + 1e-10) >= np.abs(a).max())
+    return bool(s1 * (1.0 + SIGMA1_BOUND_SLACK) >= np.abs(a).max())
 
 
 def km_equal(a, b, tol=1e-8):

@@ -41,7 +41,9 @@ class SingularSliceError(ArithmeticError):
         )
 
 
-def _check_conformable(a, b):
+def _conformable(a, b):
+    """`a` and `b` as tensors, after checking that their T-product is defined."""
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(
             f"t-product inner dimensions differ: left lateral axis (axis 1) "
@@ -52,21 +54,18 @@ def _check_conformable(a, b):
         raise ValueError(
             f"t-product tube lengths differ (axis 2): {a.shape[2]} vs {b.shape[2]}"
         )
+    return a, b
 
 
 def tprod(a, b):
     """T-product via the transform path: DFT, slicewise product, inverse DFT."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _check_conformable(a, b)
+    a, b = _conformable(a, b)
     return _from_half(_rhalf(a) @ _rhalf(b), a.shape[2])
 
 
 def tprod_direct(a, b):
     """T-product via the literal block circulant product; differential oracle."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _check_conformable(a, b)
+    a, b = _conformable(a, b)
     return fold(bcirc(a) @ unfold(b), a.shape[2])
 
 
@@ -123,8 +122,8 @@ def _inplace_route_matches():
 # copy, type resolution, wrapping, and a triu of R of which only the diagonal
 # is read here.  Calling its gufuncs directly skips that, with the same
 # arithmetic.  They are private, so they are used only where they exist and
-# reproduce np.linalg.qr exactly; the check runs once, at import.
-_qr = _qr_inplace if _inplace_route_matches() else _qr_linalg
+# reproduce np.linalg.qr exactly; the check runs once, on the first draw, not at import.
+_qr = None
 
 
 def _oriented_q(mat):
@@ -135,6 +134,9 @@ def _oriented_q(mat):
     # keeps phase 1).  `_qr` may overwrite its argument, so anything but a
     # C-contiguous complex stack (random_orthogonal's own, used in place) is
     # copied first.
+    global _qr
+    if _qr is None:
+        _qr = _qr_inplace if _inplace_route_matches() else _qr_linalg
     q, diag = _qr(np.ascontiguousarray(mat, dtype=complex))
     negative = diag.real < 0
     return np.negative(q, out=q, where=negative[..., None, :])

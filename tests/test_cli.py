@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tsvdkit import frobenius_norm, read_tensor, tprod, transpose, write_tensor
-from tsvdkit import cli
+from tsvdkit import cli, kmsvd
 from tsvdkit.cli import main
 
 from conftest import fdiagonal_fixture, fdiagonal_fixture_image
@@ -211,6 +211,14 @@ class TestVerifyCommand:
         assert out == ""
         assert "--trials must be >= 0" in err
 
+    @pytest.mark.parametrize("trials", ["0", "5"])
+    def test_negative_seed_rejected(self, fixture_file, capsys, trials):
+        argv = ["verify", fixture_file, "--seed", "-1", "--trials", trials]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--seed must be >= 0, got -1" in err
+
     @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0**-1000])
     def test_checks_are_relative(self, tmp_path, capsys, monkeypatch, c):
         a = np.zeros((3, 4, 5))
@@ -220,14 +228,15 @@ class TestVerifyCommand:
         argv = ["verify", str(path), "--trials", "0"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        true_tsvd, true_sigma1 = cli.tsvd, cli.sigma1
+        true_tsvd, true_sigma1 = cli.tsvd, kmsvd.sigma1
 
         def perturbed_tsvd(x):
             fac = true_tsvd(x)
             return dataclasses.replace(fac, s=1.01 * fac.s)
 
         monkeypatch.setattr(cli, "tsvd", perturbed_tsvd)
-        monkeypatch.setattr(cli, "sigma1", lambda x: 0.9 * true_sigma1(x))
+        # The sigma_1 bound is sigma1_upper_bound_check's, which reads kmsvd.sigma1.
+        monkeypatch.setattr(kmsvd, "sigma1", lambda x: 0.9 * true_sigma1(x))
         code, out, _ = run_cli(argv, capsys)
         report = parse_report(out)
         assert code == 3

@@ -11,6 +11,7 @@ from tsvdkit import (
     frobenius_norm,
     identity_tensor,
     is_f_diagonal,
+    tprod,
     transpose,
     unfold,
 )
@@ -193,6 +194,20 @@ class TestValidation:
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError, match="positive"):
             as_tensor(np.zeros((2, 0, 2)))
+
+    @pytest.mark.parametrize("imag", [1.0, 0.0])
+    @pytest.mark.parametrize("call", [
+        lambda z: as_tensor(z),
+        lambda z: tprod(z, np.ones((2, 2, 2))),
+        lambda z: frobenius_norm(z),
+        lambda z: fold(z.reshape(4, 2), 2),
+        lambda z: bcirc_inverse(np.ones((4, 4)) * z[0, 0, 0], 2, 2, 2),
+    ], ids=["as_tensor", "tprod", "frobenius_norm", "fold", "bcirc_inverse"])
+    def test_rejects_complex(self, call, imag):
+        # Converting to float would drop the imaginary part, zero or not.
+        z = np.ones((2, 2, 2)) + 1j * imag
+        with pytest.raises(ValueError, match="complex"):
+            call(z)
 
 
 @settings(max_examples=40, deadline=None)

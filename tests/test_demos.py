@@ -1,13 +1,17 @@
-"""Repository checks: every script under demos/ runs to completion, and the
-package imports nothing beyond numpy and the standard library."""
+"""Repository checks: every script under demos/ runs to completion, the
+package imports nothing beyond numpy and the standard library and no name it
+never uses, and it exports each module's public names once."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import tsvdkit
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -54,3 +58,40 @@ def test_package_imports_only_numpy_and_the_stdlib():
                         private.add(module)
                         break
     assert private == PRIVATE_NUMPY
+
+
+def module_imports(node):
+    """Each name bound by a module-level import, also inside a top-level try."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            for alias in child.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(child, (ast.Try, ast.ExceptHandler)):
+            yield from module_imports(child)
+
+
+def test_package_has_no_unused_imports():
+    # __init__.py imports in order to re-export, so it is the one exception.
+    for path in sorted((ROOT / "src" / "tsvdkit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name in module_imports(tree):
+            assert name in used, f"{path.name} imports {name} and never uses it"
+
+
+def test_package_exports_each_module_all_once():
+    modules = [importlib.import_module(f"tsvdkit.{name}")
+               for name in ("core", "tprod", "spectral", "kmsvd", "fileio")]
+    exported = tsvdkit.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == {"__version__"}.union(*(mod.__all__ for mod in modules))
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(tsvdkit, name) is getattr(mod, name), f"{mod.__name__}.{name}"
+    namespace = {}
+    exec("from tsvdkit import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(exported)

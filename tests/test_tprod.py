@@ -1,5 +1,10 @@
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,14 +224,35 @@ class TestQrRoute:
             assert same_bits(fast, ref)
 
     def test_inplace_route_is_selected(self, monkeypatch):
+        want = random_orthogonal(4, 3, 5)  # a first draw selects the route
         assert tprod_module._qr is tprod_module._qr_inplace
-        want = random_orthogonal(4, 3, 5)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.qr was called")
 
         monkeypatch.setattr(np.linalg, "qr", refuse)
         assert same_bits(random_orthogonal(4, 3, 5), want)
+
+    def test_route_is_selected_on_the_first_draw(self):
+        # In a fresh process: the import runs no QR, the first draw runs the
+        # self-check's one np.linalg.qr, and a second draw runs none.
+        script = textwrap.dedent("""
+            import numpy as np
+            calls, qr = [], np.linalg.qr
+            np.linalg.qr = lambda a: calls.append(a) or qr(a)
+            import tsvdkit
+            counts = [len(calls)]
+            for seed in (0, 1):
+                tsvdkit.random_orthogonal(4, 3, seed)
+                counts.append(len(calls))
+            print(counts)
+        """)
+        src = Path(tprod_module.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 1, 1]"
 
     def test_selection_rejects_missing_or_different_gufuncs(self, monkeypatch):
         monkeypatch.setattr(tprod_module, "_umath_linalg", None)
