@@ -23,11 +23,18 @@ __all__ = [
 
 
 def _real_array(x):
-    """`x` as float64; complex input raises ValueError, not a ComplexWarning."""
+    """`x` as float64; complex input raises ValueError, not a ComplexWarning.
+
+    That includes complex Python numbers in an object array, which numpy
+    refuses to convert with a TypeError.
+    """
     arr = np.asarray(x)
     if arr.dtype.kind == "c":
         raise ValueError(f"expected real entries, got complex dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+    try:
+        return arr.astype(float, copy=False)
+    except TypeError as exc:
+        raise ValueError(f"expected real entries: {exc}") from None
 
 
 def as_tensor(a):

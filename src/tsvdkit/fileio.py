@@ -9,20 +9,24 @@ A tensor file is a text document with two fields::
 ``data[(k-1)*m*n + (i-1)*n + (j-1)]`` is the (i, j, k) entry (1-based).
 Values are written with full round-trip precision, so write/read is
 bit-exact.  Entries are ASCII decimal numerals: ``int()`` and ``float()``
-syntax without digit-group underscores or non-ASCII digits.  A leading UTF-8
-byte-order mark is skipped.  Blank lines and ``#`` comments are ignored; a
-bracketed list may span any number of lines, and reading and writing take
-time linear in the file size.
+syntax without digit-group underscores or non-ASCII digits.  Files are UTF-8,
+and a leading byte-order mark is skipped; a file that is not UTF-8 is a
+format error.  Blank lines and ``#`` comments are ignored; a bracketed list
+may span any number of lines, and reading and writing take time linear in the
+file size.
+
+Lines end where ``str.splitlines`` ends them.  A field runs from its
+``key =`` line to the first line whose text, comment cut, ends with ``]``.
+Its lines, each stripped, are joined by one space, and the list entries are
+the comma-separated parts between the outer brackets.
 
 Memory is bounded by the tensor, not by its text.  A write formats the list
-a fixed number of entries at a time, copying at most that many entries or one
-frontal slice.  A read parses a fixed number of characters at a time straight
-into the result array.  A read that meets anything outside that streamed form
-(a malformed file, or a valid one with ``data`` before ``dims``, a line break
-other than ``\\n`` outside the list, non-ASCII text outside comments, or a
-header line longer than a chunk)
-reads the file again whole with the line-by-line parser, which builds the
-diagnostic; so does an input that cannot seek, such as a pipe.
+4096 entries at a time, copying at most that many entries.  A read takes
+every input, pipes included, once, 64 Ki characters at a time, and converts
+the entries straight into the result array (into pieces joined at the end
+when `data` comes before `dims`).  A malformed file is reported from that same
+pass, with its line number and, for a bad list entry, the entry's index and
+text.
 """
 
 import numpy as np
@@ -66,24 +70,6 @@ def _parse_ints(tokens, source, lineno):
     return out
 
 
-def _parse_floats(tokens, source, lineno):
-    out = np.empty(len(tokens))
-    for idx, tok in enumerate(tokens):
-        try:
-            out[idx] = _numeral(float, tok)
-        except ValueError:
-            raise TensorFormatError(
-                f"{source}:{lineno}: field 'data' entry {idx + 1} is not a "
-                f"number: {tok!r}"
-            ) from None
-        if not np.isfinite(out[idx]):
-            raise TensorFormatError(
-                f"{source}:{lineno}: field 'data' entry {idx + 1} is not "
-                f"finite: {tok!r}"
-            )
-    return out
-
-
 def _split_list(body, key, source, lineno):
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
@@ -101,199 +87,223 @@ def _split_list(body, key, source, lineno):
     return tokens
 
 
-def _parse(text, source):
-    """Parse a whole file's text line by line; every malformed file gets its
-    line diagnostic here."""
-    fields = {}
-    starts = {}
-    key = None
-    chunks = []
-    start_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+def _dims(text, source, lineno):
+    """The three positive sides listed by the text of a `dims` field."""
+    dims = _parse_ints(_split_list(text, "dims", source, lineno), source, lineno)
+    if len(dims) != 3:
+        raise TensorFormatError(
+            f"{source}:{lineno}: 'dims' must have exactly 3 entries, "
+            f"got {len(dims)}"
+        )
+    if min(dims) < 1:
+        raise TensorFormatError(
+            f"{source}:{lineno}: 'dims' entries must be positive, got {dims}"
+        )
+    return dims
+
+
+def _segments(fh):
+    """Yield (text, ends_line) for the lines str.splitlines would split the
+    file into, in pieces of at most `_READ_CHUNK` characters without breaks."""
+    for piece in iter(lambda: fh.readline(_READ_CHUNK), ""):
+        split = any(c in piece for c in _OTHER_BREAKS)
+        for part in piece.splitlines(keepends=True) if split else [piece]:
+            ends_line = part[-1] == "\n" or part[-1] in _OTHER_BREAKS
+            yield (part[:-1] if ends_line else part), ends_line
+    # End a last line that has no break; after one that has, this adds a
+    # blank line, which the grammar ignores.
+    yield "", True
+
+
+class _Entries:
+    """The `data` list, converted entry by entry as its text arrives.
+
+    The values go straight into `out` when `dims` came first, into `parts`
+    when it did not, and nowhere when `dims` is too large to allocate: the
+    count then differs from it.  `fault` holds the first fault in the order
+    a whole list reports them, `rank` being its place: 0, not a bracketed
+    list; 1, an empty entry; 2, the first entry that is not a number or not
+    finite.
+    """
+
+    def __init__(self, dims):
+        self.out = self.parts = self.carry = self.fault = self.rank = None
+        self.count = 0  # entries taken
+        if dims is None:
+            self.parts = []
+        else:
+            try:
+                self.out = np.empty(dims)
+            except (MemoryError, ValueError):  # ValueError: too large to index
+                pass
+
+    def feed(self, text):
+        """Take the next piece of the field's text."""
+        if self.carry is None:  # before the "["
+            text = text.lstrip()
+            if not text.startswith("["):
+                self.fault, self.rank = "must be a bracketed list", 0
+            self.carry, text = "", text[1:]
+        if self.rank != 0:
+            # `carry` holds the last entry, which the next piece may continue.
+            body, comma, self.carry = (self.carry + text).rpartition(",")
+            if comma:
+                self._take(body)
+
+    def close(self):
+        """Take the entry before the field's last character, its "]"."""
+        if self.count or self.carry[:-1].strip():
+            self._take(self.carry[:-1])
+
+    def _take(self, body):
+        tokens = body.split(",")
+        start = self.count
+        self.count += len(tokens)
+        if self.rank == 1:
+            return
+        values = None
+        if self.rank is None and body.isascii() and "_" not in body:
+            try:
+                values = np.fromiter(map(float, tokens), float, len(tokens))
+            except ValueError:
+                pass
+        if values is None or not np.isfinite(values).all():
+            values = np.empty(len(tokens))
+            for i, tok in enumerate(tokens):
+                tok = tok.strip()
+                if not tok:
+                    self.fault, self.rank = "has an empty list entry", 1
+                    return
+                if self.rank is None:
+                    what = "finite"
+                    try:
+                        values[i] = _numeral(float, tok)
+                    except ValueError:
+                        values[i], what = np.nan, "a number"
+                    if not np.isfinite(values[i]):
+                        self.fault = f"entry {start + i + 1} is not {what}: {tok!r}"
+                        self.rank = 2
+        if self.rank is not None:
+            return
+        if self.parts is not None:
+            self.parts.append(values)
+        elif self.out is not None and self.count <= self.out.size:
+            self.out.transpose(2, 0, 1).flat[start : self.count] = values
+
+    def tensor(self, m, n, p):
+        """The (m, n, p) tensor of the entries, once their count is m*n*p."""
+        if self.parts is None:
+            if self.out is None:
+                raise MemoryError(f"cannot allocate a tensor of shape {(m, n, p)}")
+            return self.out
+        values, self.parts = np.concatenate(self.parts), None
+        return values.reshape(p, m, n).transpose(1, 2, 0).copy()
+
+
+def _read(fh, source):
+    """Parse a tensor file in one pass, line by line as `_segments` cuts it."""
+    starts = {}  # field -> the line it starts on
+    key = dims = dims_fault = entries = None
+    lineno, comment, started = 1, False, False
+    head = raw = pending = ""
+    for text, ends_line in _segments(fh):
+        if comment:
+            cut = ""
+        else:
+            cut, hash_, _ = text.partition("#")
+            comment = bool(hash_)
         if key is None:
-            if "=" not in line:
+            # The line from its first non-blank character, comment cut and not.
+            head += cut if head else cut.lstrip()
+            raw = raw + text if head else ""
+            if "=" in cut:
+                name, _, cut = head.partition("=")
+                key = name.strip()
+                if key not in ("dims", "data"):
+                    raise TensorFormatError(
+                        f"{source}:{lineno}: unknown field {key!r} "
+                        "(expected 'dims' or 'data')"
+                    )
+                if key in starts:
+                    raise TensorFormatError(f"{source}:{lineno}: duplicate field {key!r}")
+                starts[key], field = lineno, []
+                if key == "data" and dims_fault is None:
+                    entries = _Entries(dims)
+            elif ends_line and head:
                 raise TensorFormatError(
                     f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}"
                 )
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in ("dims", "data"):
-                raise TensorFormatError(
-                    f"{source}:{lineno}: unknown field {key!r} "
-                    "(expected 'dims' or 'data')"
-                )
-            if key in fields:
-                raise TensorFormatError(f"{source}:{lineno}: duplicate field {key!r}")
-            chunks = [value]
-            start_line = lineno
-        else:
-            chunks.append(line)
-        if line.endswith("]"):
-            fields[key] = " ".join(chunks)
-            starts[key] = start_line
-            key = None
+        if key is not None:
+            # The field's text is its lines, each stripped, joined by one
+            # space; trailing blanks wait in `pending` until text follows.
+            if not started:
+                cut = cut.lstrip()
+            body = cut.rstrip()
+            if body:
+                piece = (pending if started else " ") + body
+                started, pending, closing = True, cut[len(body):], body[-1] == "]"
+                if key == "dims":
+                    field.append(piece)
+                elif entries is not None:
+                    entries.feed(piece)
+            elif started:
+                pending += cut
+        if ends_line:
+            if key is not None and started and closing:
+                if key == "dims":
+                    try:
+                        dims = _dims("".join(field), source, starts["dims"])
+                    except TensorFormatError as exc:
+                        dims_fault = exc
+                elif entries is not None:
+                    entries.close()
+                key = None
+            lineno += 1
+            comment = started = False
+            head = raw = pending = ""
     if key is not None:
         raise TensorFormatError(
-            f"{source}:{start_line}: field {key!r} has an unterminated list"
+            f"{source}:{starts[key]}: field {key!r} has an unterminated list"
         )
     for required in ("dims", "data"):
-        if required not in fields:
+        if required not in starts:
             raise TensorFormatError(f"{source}: missing field {required!r}")
-
-    dims_line = starts["dims"]
-    dims = _parse_ints(_split_list(fields["dims"], "dims", source, dims_line),
-                       source, dims_line)
-    if len(dims) != 3:
-        raise TensorFormatError(
-            f"{source}:{dims_line}: 'dims' must have exactly 3 entries, "
-            f"got {len(dims)}"
-        )
+    if dims_fault is not None:
+        raise dims_fault
+    line = starts["data"]
+    if entries.fault is not None:
+        raise TensorFormatError(f"{source}:{line}: field 'data' {entries.fault}")
     m, n, p = dims
-    if min(dims) < 1:
+    if entries.count != m * n * p:
         raise TensorFormatError(
-            f"{source}:{dims_line}: 'dims' entries must be positive, got {dims}"
-        )
-    data_line = starts["data"]
-    data = _parse_floats(_split_list(fields["data"], "data", source, data_line),
-                         source, data_line)
-    if data.size != m * n * p:
-        raise TensorFormatError(
-            f"{source}:{data_line}: 'data' has {data.size} entries, "
+            f"{source}:{line}: 'data' has {entries.count} entries, "
             f"expected m*n*p = {m * n * p}"
         )
-    return data.reshape(p, m, n).transpose(1, 2, 0).copy()
-
-
-def _pieces(fh):
-    """Yield (text, ends_line) for the file, in pieces of at most one line and
-    `_READ_CHUNK` characters, with each comment cut and its line break kept.
-
-    A comment holding another line break raises ValueError: `_parse` would end
-    the comment there.
-    """
-    in_comment = False
-    for piece in iter(lambda: fh.readline(_READ_CHUNK), ""):
-        if in_comment:
-            text, comment = "", piece
-        else:
-            text, hash_, comment = piece.partition("#")
-            in_comment = bool(hash_)
-        if in_comment and any(c in comment for c in _OTHER_BREAKS):
-            raise ValueError("line break inside a comment")
-        ends_line = piece.endswith("\n")
-        if in_comment and ends_line:
-            text += "\n"
-            in_comment = False
-        yield text, ends_line
-
-
-def _read_streamed(fh):
-    """Parse blank lines, then `dims`, then the `data` list, chunk by chunk.
-
-    Returns the tensor `_parse` would return for the same text.  Any file
-    outside this form raises ValueError, with no diagnostic: the caller then
-    hands the file to `_parse`.
-    """
-    # States: "head" (blank lines and the dims field, line by line), "open"
-    # (after "data =", up to "["), "list" (the entries) and "tail" (after
-    # "]", where only blank text may follow).  `field` holds the dims field's
-    # lines until its "]"; `carry` holds an entry cut by a chunk edge.
-    dims = field = out = None
-    state, line, carry, pos = "head", "", "", 0
-    for text, ends_line in _pieces(fh):
-        if "_" in text or not text.isascii():
-            raise ValueError("maybe a Python-only numeral")
-        if state == "head":
-            if any(c in text for c in _OTHER_BREAKS) or len(line) > _READ_CHUNK:
-                raise ValueError("not a plain header line")
-            line += text
-            key, eq, value = line.partition("=")
-            if field is None and eq and key.strip() == "data":
-                if dims is None:
-                    raise ValueError("'data' before 'dims'")
-                out = np.empty(dims)
-                dest = out.transpose(2, 0, 1).flat
-                state, text = "open", value
-            elif not ends_line:
-                continue
-            else:
-                line, stripped = "", line.strip()
-                if not stripped:
-                    continue
-                if field is None:
-                    if not (eq and key.strip() == "dims" and dims is None):
-                        raise ValueError("not a 'dims' field")
-                    field, stripped = [], value.strip()
-                field.append(stripped)
-                if stripped.endswith("]"):
-                    dims = [int(tok) for tok in
-                            _split_list(" ".join(field), "dims", "", 0)]
-                    if len(dims) != 3 or min(dims) < 1:
-                        raise ValueError("bad 'dims'")
-                    field = None
-                continue
-        if state == "open":
-            before, bracket, text = text.partition("[")
-            if before.strip():
-                raise ValueError("'data' is not a bracketed list")
-            if not bracket:
-                continue
-            state = "list"
-        if state == "list":
-            text = carry + text
-            body, close, rest = text.partition("]")
-            if not close:
-                # Hold back the last, maybe unfinished, entry.
-                body, comma, carry = text.rpartition(",")
-                if len(carry) > _READ_CHUNK:
-                    raise ValueError("list entry longer than a chunk")
-                if not comma:
-                    continue
-            tokens = body.split(",")
-            values = np.fromiter(map(float, tokens), float, len(tokens))
-            if pos + values.size > out.size or not np.isfinite(values).all():
-                raise ValueError("too many or non-finite entries")
-            dest[pos : pos + values.size] = values
-            pos += values.size
-            if not close:
-                continue
-            state, text = "tail", rest
-        if text.strip():
-            raise ValueError("text after the 'data' list")
-    if state != "tail" or pos != out.size:
-        raise ValueError("incomplete 'data' list")
-    return out
+    return entries.tensor(m, n, p)
 
 
 def read_tensor(path):
     """Read a tensor file; raises TensorFormatError with a line diagnostic."""
-    with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-        if fh.seekable():
-            try:
-                return _read_streamed(fh)
-            except (ValueError, MemoryError):  # MemoryError: dims too large
-                fh.seek(0)
-        text = fh.read()
-    return _parse(text, str(path))
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
+            return _read(fh, str(path))
+    except UnicodeDecodeError as exc:
+        # The decoder's byte position counts from its buffer, not the file.
+        raise TensorFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_tensor(path, a):
     """Write `a` with full round-trip precision."""
     a = as_tensor(a)
     m, n, p = a.shape
-    slices = a.transpose(2, 0, 1)
-    step = max(1, _WRITE_CHUNK // (m * n))  # frontal slices copied at a time
     sep = ""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dims = [{m}, {n}, {p}]\ndata = [")
         # A list's repr is "[" + ", ".join(map(repr, items)) + "]", and a
         # float's repr is its shortest round-trip form; so the chunks joined
         # by ", " are the whole list's repr.
-        for k in range(0, p, step):
-            block = slices[k : k + step].ravel()
-            for start in range(0, block.size, _WRITE_CHUNK):
-                fh.write(sep + repr(block[start : start + _WRITE_CHUNK].tolist())[1:-1])
-                sep = ", "
+        for chunk in np.nditer(a.transpose(2, 0, 1), flags=["external_loop", "buffered"],
+                               order="C", buffersize=_WRITE_CHUNK):
+            fh.write(sep + repr(chunk.tolist())[1:-1])
+            sep = ", "
         fh.write("]\n")

@@ -61,26 +61,36 @@ def _km_diag(a):
     return np.fft.irfft(vals, n=a.shape[2], axis=0).T
 
 
-def km_mapping(a):
-    """Real f-diagonal image of `a`: inverse DFT of the slicewise singular values."""
-    a = as_tensor(a)
-    r = min(a.shape[0], a.shape[1])
-    s = np.zeros(a.shape)
-    s[np.arange(r), np.arange(r)] = _km_diag(a)
+def _f_diagonal(tubes, m, n):
+    """The (m, n, p) f-diagonal tensor whose r diagonal tubes are the rows of
+    the (r, p) array `tubes`."""
+    r = tubes.shape[0]
+    s = np.zeros((m, n, tubes.shape[1]))
+    s[np.arange(r), np.arange(r)] = tubes
     return s
 
 
+def km_mapping(a):
+    """Real f-diagonal image of `a`: inverse DFT of the slicewise singular values."""
+    a = as_tensor(a)
+    return _f_diagonal(_km_diag(a), a.shape[0], a.shape[1])
+
+
 def tsvd(a):
-    """Full T-SVD of `a`; the middle factor equals ``km_mapping(a)``."""
+    """Full T-SVD of `a`.
+
+    The middle factor equals ``km_mapping(a)`` up to rounding, not bit for
+    bit: here each slice of ``dft_mode3(a)`` is factored on its own, the
+    self-paired ones by LAPACK's real driver, while the mapping factors the
+    ``rfft`` slices in one batched complex call.
+    """
     a = as_tensor(a)
     m, n, p = a.shape
-    r = min(m, n)
     factors = [complex_svd(d) for d in _half(dft_mode3(a))]
-    s = np.zeros((len(factors), m, n))
-    s[:, np.arange(r), np.arange(r)] = [f.sigma for f in factors]
+    tubes = np.fft.irfft([f.sigma for f in factors], n=p, axis=0).T
     return TSvd(
         u=_from_half(np.stack([f.u for f in factors]), p),
-        s=_from_half(s, p),
+        s=_f_diagonal(tubes, m, n),
         v=_from_half(np.stack([f.v for f in factors]), p),
     )
 

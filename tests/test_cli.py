@@ -94,6 +94,13 @@ class TestRankCommand:
         assert (code, out) == (2, "")
         assert "entry 1 is not a number: '1_5'" in err
 
+    def test_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.tensor"
+        path.write_bytes(b"dims = [1, 1, 2]\ndata = [1.0, \xff2.0]\n")
+        code, out, err = run_cli(["rank", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"tsvdkit: error: {path}: not UTF-8 text (invalid start byte)\n"
+
     def test_worked_example(self, fixture_file, capsys):
         code, out, _ = run_cli(["rank", fixture_file], capsys)
         assert code == 0

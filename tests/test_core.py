@@ -209,6 +209,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="complex"):
             call(z)
 
+    @pytest.mark.parametrize("call", [
+        lambda z: as_tensor(z),
+        lambda z: tprod(z, np.ones((2, 2, 2))),
+        lambda z: fold(z.reshape(4, 2), 2),
+        lambda z: bcirc_inverse(np.tile(z.reshape(4, 2), 2), 2, 2, 2),
+    ], ids=["as_tensor", "tprod", "fold", "bcirc_inverse"])
+    def test_rejects_complex_python_numbers(self, call):
+        # numpy refuses float(1+1j) with a TypeError, not the documented ValueError.
+        z = np.full((2, 2, 2), 1 + 1j, dtype=object)
+        with pytest.raises(ValueError, match="expected real entries.*complex"):
+            call(z)
+
 
 @settings(max_examples=40, deadline=None)
 @given(dims=small_dims, seed=st.integers(0, 2**31))

@@ -1,6 +1,7 @@
 """Repository checks: every script under demos/ runs to completion, the
 package imports nothing beyond numpy and the standard library and no name it
-never uses, and it exports each module's public names once."""
+never uses, it exports each module's public names once, and it reads tensor
+files in one pass."""
 
 import ast
 import importlib
@@ -95,3 +96,14 @@ def test_package_exports_each_module_all_once():
     exec("from tsvdkit import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(exported)
+
+
+def test_tensor_files_are_read_in_one_pass():
+    # A read that never seeks and never reads a file whole takes any input,
+    # pipes included, once and in bounded pieces.
+    tree = ast.parse((ROOT / "src" / "tsvdkit" / "fileio.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert node.func.attr != "seek", f"line {node.lineno} seeks"
+            assert not (node.func.attr == "read" and not node.args and not node.keywords), (
+                f"line {node.lineno} reads a file whole")

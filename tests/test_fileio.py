@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from tsvdkit import TensorFormatError, fileio, read_tensor, write_tensor
 
+import whole_text_parser
 from conftest import same_bits
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -213,14 +214,6 @@ def varied_values(rng, size):
     return values
 
 
-@pytest.fixture
-def streamed_only(monkeypatch):
-    """Fail the test if read_tensor hands the file to the whole-text parser."""
-    def refuse(text, source):
-        raise AssertionError(f"{source} was not parsed chunk by chunk")
-    monkeypatch.setattr(fileio, "_parse", refuse)
-
-
 def outcome(read):
     try:
         a = read()
@@ -233,7 +226,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("size", [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
                                       2 * WRITE_CHUNK + 1])
     @pytest.mark.parametrize("layout", ["rows", "tubes", "slices"])
-    def test_bytes_match_one_repr(self, tmp_path, streamed_only, size, layout):
+    def test_bytes_match_one_repr(self, tmp_path, size, layout):
         rng = np.random.default_rng(size)
         shape = {"rows": (size, 1, 1), "tubes": (1, 1, size), "slices": (1, size, 1)}
         a = varied_values(rng, size).reshape(shape[layout])
@@ -243,7 +236,7 @@ class TestChunkBoundaries:
         back = read_tensor(path)
         assert np.array_equal(back.view(np.int64), a.view(np.int64))
 
-    def test_random_shapes_match_one_repr(self, tmp_path, streamed_only):
+    def test_random_shapes_match_one_repr(self, tmp_path):
         rng = np.random.default_rng(20261018)
         path = tmp_path / "t.tensor"
         for _ in range(200):
@@ -255,7 +248,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("close_at", [2 * READ_CHUNK - 1, 2 * READ_CHUNK,
                                           2 * READ_CHUNK + 1])
-    def test_closing_bracket_at_a_read_cut(self, tmp_path, streamed_only, close_at):
+    def test_closing_bracket_at_a_read_cut(self, tmp_path, close_at):
         # "data = [" + pad + "1.5, " * (count - 1) + "1.5]": the "]" sits at
         # index 6 + pad + 5 * count of its line, and the cuts at the chunk
         # edges fall in a token, on a comma or on a space.
@@ -266,7 +259,7 @@ class TestChunkBoundaries:
         assert path.read_text().splitlines()[1][close_at] == "]"
         assert read_tensor(path).ravel().tolist() == [1.5] * count
 
-    def test_crlf_comments_and_blank_lines(self, tmp_path, streamed_only):
+    def test_crlf_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "t.tensor"
         path.write_bytes(
             b"# header, with [brackets] = and commas\r\n\r\n"
@@ -282,7 +275,7 @@ class TestChunkBoundaries:
         a = read_tensor(path)
         assert np.array_equal(a.transpose(2, 0, 1).ravel(), np.arange(1.0, 13.0))
 
-    def test_file_without_final_newline(self, tmp_path, streamed_only):
+    def test_file_without_final_newline(self, tmp_path):
         path = tmp_path / "t.tensor"
         path.write_text("dims = [1, 1, 2]\ndata = [1.0, 2.0]")
         assert read_tensor(path).ravel().tolist() == [1.0, 2.0]
@@ -322,7 +315,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_gets_the_diagnostic(self, tmp_path):
-        # A pipe cannot be read twice, so it is read whole from the start.
+        # A pipe cannot be read twice: the diagnostic comes from the one pass.
         fifo = tmp_path / "pipe.tensor"
         os.mkfifo(fifo)
         writer = threading.Thread(
@@ -355,7 +348,7 @@ class TestChunkBoundaries:
             read_tensor(path)
         assert str(info.value) == want
         with pytest.raises(TensorFormatError) as info:
-            fileio._parse(path.read_text(), str(path))
+            whole_text_parser._parse(path.read_text(), str(path))
         assert str(info.value) == want
 
     @settings(max_examples=300, deadline=None)
@@ -366,7 +359,7 @@ class TestChunkBoundaries:
                                                      "7", "dims = [1, 2, 2]",
                                                      "data = [", "# ]\n"])),
                           max_size=4),
-           chunk=st.sampled_from([16, 64, READ_CHUNK]))
+           chunk=st.sampled_from([1, 3, 16, 64, READ_CHUNK]))
     def test_agrees_with_whole_text_parser(self, tmp_path_factory, edits, chunk):
         text = ("# a [2x2x1] tensor\n"
                 "dims = [2, 2, 1]\n"
@@ -380,7 +373,7 @@ class TestChunkBoundaries:
         with mock.patch.object(fileio, "_READ_CHUNK", chunk):
             got = outcome(lambda: read_tensor(path))
         with open(path, encoding="utf-8") as fh:
-            want = outcome(lambda: fileio._parse(fh.read(), str(path)))
+            want = outcome(lambda: whole_text_parser._parse(fh.read(), str(path)))
         assert got == want
 
 
@@ -407,14 +400,25 @@ class TestNumeralsAndEncoding:
             read_tensor(path)
         assert str(info.value) == want
         with pytest.raises(TensorFormatError) as info:
-            fileio._parse(text, str(path))
+            whole_text_parser._parse(text, str(path))
         assert str(info.value) == want
 
-    def test_non_ascii_comment_streams(self, tmp_path, streamed_only):
+    def test_non_ascii_comment_streams(self, tmp_path):
         path = tmp_path / "t.tensor"
         path.write_text("# fa\u00e7ade \u0663_1\ndims = [1, 1, 2]  # \u00e9\n"
                         "data = [1.5,  # \u00bd \u0663\n2.0]\n", encoding="utf-8")
         assert read_tensor(path).ravel().tolist() == [1.5, 2.0]
+
+    @pytest.mark.parametrize("offset", [9, 20000])
+    def test_not_utf8_is_a_format_error(self, tmp_path, offset):
+        # The decoder counts its byte position from its own buffer, so the
+        # message leaves it out.
+        text = b"dims = [1, 1, 2]\ndata = [1.0, " + b" " * offset + b"\xff2.0]\n"
+        path = tmp_path / "t.tensor"
+        path.write_bytes(text)
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     def test_padding_that_strip_removes_reads(self, tmp_path):
         path = tmp_path / "t.tensor"
@@ -427,7 +431,7 @@ class TestNumeralsAndEncoding:
         copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         return copy
 
-    def test_byte_order_mark_skipped_when_streamed(self, tmp_path, streamed_only):
+    def test_byte_order_mark_skipped_when_streamed(self, tmp_path):
         a = varied_values(np.random.default_rng(3), 2 * WRITE_CHUNK).reshape(16, 8, -1)
         path = tmp_path / "t.tensor"
         write_tensor(path, a)
@@ -436,7 +440,7 @@ class TestNumeralsAndEncoding:
 
     def test_byte_order_mark_skipped_when_read_again(self, tmp_path):
         path = tmp_path / "t.tensor"
-        path.write_text("data = [1.0, 2.0]\ndims = [2, 1, 1]\n")  # read whole
+        path.write_text("data = [1.0, 2.0]\ndims = [2, 1, 1]\n")  # data before dims
         assert same_bits(read_tensor(self.bom_copy(path)), read_tensor(path))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -468,12 +472,59 @@ def traced_peak(fn):
 class TestMemory:
     """A read or write holds the tensor and a bounded amount of its text."""
 
-    def test_peaks_follow_the_tensor_not_the_text(self, tmp_path):
+    @pytest.fixture
+    def cube(self, tmp_path):
         a = np.random.default_rng(0).standard_normal((40, 40, 40))
         path = tmp_path / "t.tensor"
+        write_tensor(path, a)
+        return a, path
+
+    def test_peaks_follow_the_tensor_not_the_text(self, cube):
+        a, path = cube
         write_peak = traced_peak(lambda: write_tensor(path, a))
         read_peak = traced_peak(lambda: read_tensor(path))
         file_bytes = path.stat().st_size  # 1.26 MiB beside a 0.49 MiB array
         assert write_peak <= a.nbytes + (1 << 20)
         # Less than the text held once beside the result.
         assert read_peak <= file_bytes + a.nbytes
+
+    @pytest.mark.parametrize("form", ["data before dims", "vertical tab breaks"])
+    def test_other_valid_forms_stay_bounded(self, cube, form):
+        a, path = cube
+        dims, data = path.read_text().splitlines()
+        text = (data + "\n" + dims + "\n" if form == "data before dims"
+                else dims + "\v" + data + "\v")
+        path.write_text(text)
+        read_peak = traced_peak(lambda: read_tensor(path))
+        assert same_bits(read_tensor(path), a)
+        assert read_peak <= path.stat().st_size + a.nbytes
+
+    def test_bad_last_entry_stays_bounded(self, cube):
+        a, path = cube
+        text = path.read_text()
+        path.write_text(text[: text.rindex(",")] + ", oops]\n")
+        errors = []
+
+        def read():
+            with pytest.raises(TensorFormatError) as info:
+                read_tensor(path)
+            errors.append(str(info.value))
+
+        read_peak = traced_peak(read)
+        assert errors == [f"{path}:2: field 'data' entry {a.size} is not a number: 'oops'"]
+        assert read_peak <= path.stat().st_size + a.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_stays_bounded(self, tmp_path, cube):
+        a, path = cube
+        data = path.read_bytes()
+        fifo = tmp_path / "pipe.tensor"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        holder = []
+        read_peak = traced_peak(lambda: holder.append(read_tensor(fifo)))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert same_bits(holder[0], a)
+        assert read_peak <= len(data) + a.nbytes
