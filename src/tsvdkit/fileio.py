@@ -24,9 +24,14 @@ Memory is bounded by the tensor, not by its text.  A write formats the list
 4096 entries at a time, copying at most that many entries.  A read takes
 every input, pipes included, once, 64 Ki characters at a time, and converts
 the entries straight into the result array (into pieces joined at the end
-when `data` comes before `dims`).  A malformed file is reported from that same
-pass, with its line number and, for a bad list entry, the entry's index and
-text.
+when `data` comes before `dims`).  Beside that piece it holds fewer than 4 Ki
+characters of entries not yet converted, and all of an entry that runs
+longer.  A malformed file is reported from that same pass, with its line
+number and, for a bad list entry, the entry's index and text.  The first
+fault the pass meets is the one reported: a line that is no `key = value`
+field, or names an unknown or repeated one, at that line; a byte that is not
+UTF-8 when the decoder, which reads a few KiB ahead, reaches it; the other
+faults after the last line.
 """
 
 import numpy as np
@@ -35,10 +40,12 @@ from .core import as_tensor
 
 __all__ = ["TensorFormatError", "read_tensor", "write_tensor"]
 
-# Entries formatted per write and characters of text parsed per read.  They
-# bound the memory a write or read takes beyond the tensor itself.
+# Entries formatted per write, characters of text read at a time, and
+# characters of list entries gathered before they are converted.  They bound
+# the memory a write or read takes beyond the tensor itself.
 _WRITE_CHUNK = 4096
 _READ_CHUNK = 1 << 16
+_CONVERT_CHUNK = 1 << 12
 
 # The line boundaries of str.splitlines other than "\n".  ("\r" never reaches
 # the parser: text-mode reads translate it.)
@@ -116,7 +123,8 @@ def _segments(fh):
 
 
 class _Entries:
-    """The `data` list, converted entry by entry as its text arrives.
+    """The `data` list, converted a batch of entries at a time as its text
+    arrives.
 
     The values go straight into `out` when `dims` came first, into `parts`
     when it did not, and nowhere when `dims` is too large to allocate: the
@@ -143,22 +151,27 @@ class _Entries:
             text = text.lstrip()
             if not text.startswith("["):
                 self.fault, self.rank = "must be a bracketed list", 0
-            self.carry, text = "", text[1:]
+            self.carry, self.held, text = [], 0, text[1:]
         if self.rank != 0:
-            # `carry` holds the last entry, which the next piece may continue.
-            body, comma, self.carry = (self.carry + text).rpartition(",")
-            if comma:
+            # `carry` holds the pieces not taken yet, `held` characters; they
+            # are taken up to the last comma once `_CONVERT_CHUNK` are held,
+            # so each piece is joined at most twice and a read stays linear.
+            self.carry.append(text)
+            self.held += len(text)
+            if self.held >= _CONVERT_CHUNK and "," in text:
+                body, _, tail = "".join(self.carry).rpartition(",")
                 self._take(body)
+                self.carry, self.held = [tail], len(tail)
 
     def close(self):
         """Take the entry before the field's last character, its "]"."""
-        if self.count or self.carry[:-1].strip():
-            self._take(self.carry[:-1])
+        last = "".join(self.carry)[:-1]
+        if self.count or last.strip():
+            self._take(last)
 
     def _take(self, body):
         tokens = body.split(",")
-        start = self.count
-        self.count += len(tokens)
+        start, self.count = self.count, self.count + len(tokens)
         if self.rank == 1:
             return
         values = None
@@ -204,8 +217,7 @@ def _read(fh, source):
     """Parse a tensor file in one pass, line by line as `_segments` cuts it."""
     starts = {}  # field -> the line it starts on
     key = dims = dims_fault = entries = None
-    lineno, comment, started = 1, False, False
-    head = raw = pending = ""
+    lineno, comment, started, raw, pending = 1, False, False, [], ""
     for text, ends_line in _segments(fh):
         if comment:
             cut = ""
@@ -213,11 +225,12 @@ def _read(fh, source):
             cut, hash_, _ = text.partition("#")
             comment = bool(hash_)
         if key is None:
-            # The line from its first non-blank character, comment cut and not.
-            head += cut if head else cut.lstrip()
-            raw = raw + text if head else ""
+            # The pieces of the line from its first non-blank one.  No piece
+            # before the one whose comment-cut text holds "=" holds "#" or "=".
+            if raw or cut.strip():
+                raw.append(text)
             if "=" in cut:
-                name, _, cut = head.partition("=")
+                name, _, cut = "".join(raw).partition("#")[0].partition("=")
                 key = name.strip()
                 if key not in ("dims", "data"):
                     raise TensorFormatError(
@@ -229,9 +242,9 @@ def _read(fh, source):
                 starts[key], field = lineno, []
                 if key == "data" and dims_fault is None:
                     entries = _Entries(dims)
-            elif ends_line and head:
+            elif ends_line and raw:
                 raise TensorFormatError(
-                    f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}"
+                    f"{source}:{lineno}: expected 'key = value', got {''.join(raw).strip()!r}"
                 )
         if key is not None:
             # The field's text is its lines, each stripped, joined by one
@@ -259,8 +272,7 @@ def _read(fh, source):
                     entries.close()
                 key = None
             lineno += 1
-            comment = started = False
-            head = raw = pending = ""
+            comment, started, raw, pending = False, False, [], ""
     if key is not None:
         raise TensorFormatError(
             f"{source}:{starts[key]}: field {key!r} has an unterminated list"

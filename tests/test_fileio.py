@@ -1,6 +1,7 @@
 import codecs
 import os
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -195,6 +196,29 @@ class TestLongListDiagnostics:
         path = self.write_list(tmp_path, ["1.5"] * 3 + ["\x1f2.5\x1f"])
         assert read_tensor(path).ravel().tolist() == [1.5, 1.5, 1.5, 2.5]
 
+    @pytest.mark.parametrize("text, chunk, message", [
+        # One value per line with the commas left out: one entry of 200,000 lines.
+        ("dims = [1, 1, 1]\ndata = [\n" + "1.5\n" * 200_000 + "]\n", fileio._READ_CHUNK,
+         ":2: field 'data' entry 1 is not a number: '1.5 1.5 "),
+        # One such line, and a header line without '=', in 16-character pieces.
+        ("dims = [1, 1, 1]\ndata = [" + "1.5 " * 400_000 + "]\n", 16,
+         ":2: field 'data' entry 1 is not a number: '1.5 1.5 "),
+        ("x" * 2_000_000 + "\ndims = [1, 1, 1]\ndata = [1]\n", 16,
+         ":1: expected 'key = value', got 'xxxx"),
+    ], ids=["values per line", "one line", "header line"])
+    def test_long_fault_found_in_linear_time(self, tmp_path, text, chunk, message):
+        # A reader that copies the text held so far once per piece takes
+        # several seconds on each of these.
+        path = tmp_path / "long.tensor"
+        path.write_text(text)
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            start = time.perf_counter()
+            with pytest.raises(TensorFormatError) as info:
+                read_tensor(path)
+            elapsed = time.perf_counter() - start
+        assert str(info.value).startswith(f"{path}{message}")
+        assert elapsed < 3.0
+
 
 WRITE_CHUNK = fileio._WRITE_CHUNK
 READ_CHUNK = fileio._READ_CHUNK
@@ -286,7 +310,7 @@ class TestChunkBoundaries:
         "dims = [2, 1, 1]  # c\x0b\ndata = [1.0, 2.0]\n",     # a comment ended by \v
         "dims = [2, 1, 1]\x1cdata = [1.0, 2.0]\n",            # two lines split by \x1c
     ])
-    def test_other_valid_files_read_whole(self, tmp_path, text):
+    def test_other_valid_forms(self, tmp_path, text):
         path = tmp_path / "t.tensor"
         path.write_text(text)
         assert read_tensor(path).ravel().tolist() == [1.0, 2.0]
@@ -359,8 +383,10 @@ class TestChunkBoundaries:
                                                      "7", "dims = [1, 2, 2]",
                                                      "data = [", "# ]\n"])),
                           max_size=4),
-           chunk=st.sampled_from([1, 3, 16, 64, READ_CHUNK]))
-    def test_agrees_with_whole_text_parser(self, tmp_path_factory, edits, chunk):
+           chunk=st.sampled_from([1, 3, 16, 64, READ_CHUNK]),
+           convert=st.sampled_from([1, 5, fileio._CONVERT_CHUNK]))
+    def test_agrees_with_whole_text_parser(self, tmp_path_factory, edits, chunk,
+                                           convert):
         text = ("# a [2x2x1] tensor\n"
                 "dims = [2, 2, 1]\n"
                 "data = [1.5, -2.0,  # first row\n"
@@ -370,7 +396,8 @@ class TestChunkBoundaries:
             text = text[:at] + insert + text[at + cut:]
         path = tmp_path_factory.mktemp("fuzz") / "t.tensor"
         path.write_bytes(text.encode())
-        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk), \
+                mock.patch.object(fileio, "_CONVERT_CHUNK", convert):
             got = outcome(lambda: read_tensor(path))
         with open(path, encoding="utf-8") as fh:
             want = outcome(lambda: whole_text_parser._parse(fh.read(), str(path)))
@@ -420,6 +447,18 @@ class TestNumeralsAndEncoding:
             read_tensor(path)
         assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
+    @pytest.mark.parametrize("before, after, message", [
+        (b"# \xff\n", b"", ": not UTF-8 text (invalid start byte)"),
+        (b"", b"#" + b" " * 100_000 + b"\xff\n", ":1: expected 'key = value', got 'bogus'"),
+    ], ids=["bad byte first", "bad byte far after"])
+    def test_first_fault_met_is_reported(self, tmp_path, before, after, message):
+        # A bad byte on the line before a garbage line, or far after it.
+        path = tmp_path / "t.tensor"
+        path.write_bytes(before + b"bogus\ndims = [1, 1, 1]\ndata = [1.0]\n" + after)
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == f"{path}{message}"
+
     def test_padding_that_strip_removes_reads(self, tmp_path):
         path = tmp_path / "t.tensor"
         path.write_text("dims = [\u00a01, 1, 2\u3000]\n"
@@ -431,14 +470,14 @@ class TestNumeralsAndEncoding:
         copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         return copy
 
-    def test_byte_order_mark_skipped_when_streamed(self, tmp_path):
+    def test_byte_order_mark_skipped_in_a_written_file(self, tmp_path):
         a = varied_values(np.random.default_rng(3), 2 * WRITE_CHUNK).reshape(16, 8, -1)
         path = tmp_path / "t.tensor"
         write_tensor(path, a)
         assert path.read_bytes() == reference_bytes(a)  # written without a mark
         assert same_bits(read_tensor(self.bom_copy(path)), a)
 
-    def test_byte_order_mark_skipped_when_read_again(self, tmp_path):
+    def test_byte_order_mark_skipped_with_data_before_dims(self, tmp_path):
         path = tmp_path / "t.tensor"
         path.write_text("data = [1.0, 2.0]\ndims = [2, 1, 1]\n")  # data before dims
         assert same_bits(read_tensor(self.bom_copy(path)), read_tensor(path))
@@ -488,43 +527,43 @@ class TestMemory:
         # Less than the text held once beside the result.
         assert read_peak <= file_bytes + a.nbytes
 
-    @pytest.mark.parametrize("form", ["data before dims", "vertical tab breaks"])
-    def test_other_valid_forms_stay_bounded(self, cube, form):
-        a, path = cube
-        dims, data = path.read_text().splitlines()
-        text = (data + "\n" + dims + "\n" if form == "data before dims"
-                else dims + "\v" + data + "\v")
-        path.write_text(text)
-        read_peak = traced_peak(lambda: read_tensor(path))
-        assert same_bits(read_tensor(path), a)
-        assert read_peak <= path.stat().st_size + a.nbytes
-
-    def test_bad_last_entry_stays_bounded(self, cube):
+    @pytest.mark.parametrize("form", [
+        "data before dims", "vertical tab breaks", "bad last entry",
+        pytest.param("pipe", marks=pytest.mark.skipif(
+            not hasattr(os, "mkfifo"), reason="needs named pipes")),
+    ])
+    def test_other_inputs_stay_bounded(self, tmp_path, cube, form):
         a, path = cube
         text = path.read_text()
-        path.write_text(text[: text.rindex(",")] + ", oops]\n")
-        errors = []
+        dims, data = text.splitlines()
+        source, message = path, None
+        if form == "data before dims":
+            path.write_text(data + "\n" + dims + "\n")
+        elif form == "vertical tab breaks":
+            path.write_text(dims + "\v" + data + "\v")
+        elif form == "bad last entry":
+            path.write_text(text[: text.rindex(",")] + ", oops]\n")
+            message = f"{path}:2: field 'data' entry {a.size} is not a number: 'oops'"
+        else:
+            source = tmp_path / "pipe.tensor"
+            os.mkfifo(source)
+            writer = threading.Thread(
+                target=source.write_bytes, args=(path.read_bytes(),), daemon=True)
+            writer.start()
+        outcome = []
 
         def read():
-            with pytest.raises(TensorFormatError) as info:
-                read_tensor(path)
-            errors.append(str(info.value))
+            try:
+                outcome.append(read_tensor(source))
+            except TensorFormatError as exc:
+                outcome.append(str(exc))
 
         read_peak = traced_peak(read)
-        assert errors == [f"{path}:2: field 'data' entry {a.size} is not a number: 'oops'"]
+        if form == "pipe":
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        if message is None:
+            assert same_bits(outcome[0], a)
+        else:
+            assert outcome == [message]
         assert read_peak <= path.stat().st_size + a.nbytes
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_stays_bounded(self, tmp_path, cube):
-        a, path = cube
-        data = path.read_bytes()
-        fifo = tmp_path / "pipe.tensor"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
-        writer.start()
-        holder = []
-        read_peak = traced_peak(lambda: holder.append(read_tensor(fifo)))
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert same_bits(holder[0], a)
-        assert read_peak <= len(data) + a.nbytes
