@@ -9,11 +9,23 @@ slice-major (p // 2 + 1, m, n) stack, and one ``irfft`` of length p turns
 the result back into a real tensor.  Every op except ``tsvd`` takes the half
 straight from ``rfft`` (``_rhalf``); ``tsvd`` slices it out of the full
 ``dft_mode3`` spectrum (``_half``) and factors it one ``complex_svd`` per slice.
+
+The route's FFTs, SVDs and QRs (``_kernels``) call numpy's pocketfft and
+LAPACK gufuncs directly, skipping the wrappers' per-call overhead, once a probe
+on first use shows that these match ``np.fft`` and ``np.linalg`` bit for bit;
+otherwise (numpy 1.x) they call ``np.fft`` and ``np.linalg``, as
+``dft_mode3`` and ``idft_mode3`` always do.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # private module; the kernels then use np.linalg
+    _umath_linalg = None
 
 from .core import _check_tol, as_tensor
 
@@ -78,7 +90,7 @@ class SliceSvd:
 def _svd(d, compute_uv=True):
     """``np.linalg.svd``, stacked over leading axes; failure is SvdConvergenceError."""
     try:
-        return np.linalg.svd(d, compute_uv=compute_uv)
+        return _kernels().svd(d, compute_uv)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from None
 
@@ -139,7 +151,7 @@ def _rhalf(a):
 
     ``rfft`` returns the self-paired slices exactly real.
     """
-    return np.fft.rfft(a, axis=2).transpose(2, 0, 1)
+    return _kernels().rfft(a).transpose(2, 0, 1)
 
 
 def _from_half(stack, p):
@@ -148,4 +160,93 @@ def _from_half(stack, p):
     The other slices are the conjugate mirror, and the imaginary part of the
     self-paired slices is ignored, so the result is real by construction.
     """
-    return np.fft.irfft(stack, n=p, axis=0).transpose(1, 2, 0)
+    return _kernels().irfft(stack.transpose(1, 2, 0), p)
+
+
+# rfft(a) and irfft(x, p) act along the last axis and svd(d, compute_uv) on a
+# stack of matrices, each returning what np.fft or np.linalg.svd does, in the
+# same memory layout.  qr(a) of a C-contiguous complex stack returns Q and a
+# stack whose diagonal is R's, and may overwrite `a`.
+_Kernels = namedtuple("_Kernels", "rfft irfft svd qr")
+_PUBLIC = _Kernels(lambda a: np.fft.rfft(a), lambda x, p: np.fft.irfft(x, p),
+                   lambda d, uv: np.linalg.svd(d, compute_uv=uv), lambda a: np.linalg.qr(a))
+
+_TUBES = [(-1,), (), (-1,)]  # gufunc axes: input tubes, scalar factor, output tubes
+_pocketfft_umath = None  # numpy.fft's gufunc module, imported by the probe
+
+
+def _rfft_direct(a):
+    p = a.shape[-1]
+    rfft = _pocketfft_umath.rfft_n_even if p % 2 == 0 else _pocketfft_umath.rfft_n_odd
+    out = np.empty_like(a, shape=a.shape[:-1] + (p // 2 + 1,), dtype=complex)
+    return rfft(a, 1.0, axes=_TUBES, out=out)
+
+
+def _irfft_direct(x, p):
+    out = np.empty_like(x, shape=x.shape[:-1] + (p,), dtype=float)
+    return _pocketfft_umath.irfft(x, 1 / p, axes=_TUBES, out=out)
+
+
+def _lapack_errors(message):
+    # np.linalg's own error state: a LAPACK gufunc reports failure by raising
+    # the invalid flag, which this turns into LinAlgError(message).
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _svd_direct(d, compute_uv):
+    with _lapack_errors("SVD did not converge"):
+        return _umath_linalg.svd_f(d) if compute_uv else _umath_linalg.svd(d)
+
+
+def _qr_direct(a):
+    # The two gufuncs np.linalg.qr runs, geqrf then ungqr.  geqrf overwrites
+    # `a` with the raw factor, whose upper triangle is R.
+    with _lapack_errors("Incorrect argument found while performing QR factorization"):
+        tau = _umath_linalg.qr_r_raw(a)
+        return _umath_linalg.qr_reduced(a, tau), a
+
+
+_DIRECT = _Kernels(_rfft_direct, _irfft_direct, _svd_direct, _qr_direct)
+
+
+def _probe(kernels):
+    # Every kernel on fixed inputs: rfft and irfft at an even and an odd
+    # length, svd of complex and real matrices with and without factors, and
+    # qr of slices whose diag(R) has entries of both signs.
+    x = np.array([0.3, -1.7, 2.9, 0.55, -4.1])
+    z = np.array([[[1, 2j], [3, -1j]], [[-2, 1], [1j, 4]]])
+    q, r = kernels.qr(z.copy())
+    arrays = [q, np.diagonal(r, axis1=-2, axis2=-1)]
+    for p in (4, 5):
+        half = kernels.rfft(x[:p])
+        arrays += [half, kernels.irfft(half, p)]
+    for d in (z, z.real):
+        arrays += [*kernels.svd(d, True), kernels.svd(d, False)]
+    return arrays
+
+
+def _direct_route_matches():
+    # The gufuncs are private: use them only where they reproduce the wrappers.
+    global _pocketfft_umath
+    try:
+        from numpy.fft import _pocketfft_umath
+        direct = _probe(_DIRECT)
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return False
+    return all(map(np.array_equal, direct, _probe(_PUBLIC)))
+
+
+_route = None
+
+
+def _kernels():
+    """The direct kernels if they match the public ones, else the public ones."""
+    # Chosen on first use, so `import tsvdkit` loads no numpy.fft.
+    global _route
+    if _route is None:
+        _route = _DIRECT if _direct_route_matches() else _PUBLIC
+    return _route

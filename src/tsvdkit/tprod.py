@@ -2,11 +2,6 @@
 
 import numpy as np
 
-try:
-    from numpy.linalg import _umath_linalg
-except ImportError:  # private module; _qr then falls back to np.linalg.qr
-    _umath_linalg = None
-
 from .core import (
     _check_tol,
     as_tensor,
@@ -17,7 +12,7 @@ from .core import (
     transpose,
     unfold,
 )
-from .spectral import _from_half, _rhalf, _svd
+from .spectral import _from_half, _kernels, _rhalf, _svd
 
 __all__ = [
     "tprod",
@@ -84,61 +79,16 @@ def is_orthogonal(q, tol=1e-10):
     )
 
 
-def _raise_qr_error(err, flag):
-    raise np.linalg.LinAlgError(
-        "Incorrect argument found while performing QR factorization"
-    )
-
-
-def _qr_inplace(a):
-    # The two LAPACK gufuncs np.linalg.qr runs, geqrf then ungqr, under its
-    # error state.  geqrf overwrites `a` with the raw factor, whose upper
-    # triangle is R.  Returns Q and diag(R).
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-        q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
-    return q, np.diagonal(a, axis1=-2, axis2=-1)
-
-
-def _qr_linalg(a):
-    q, r = np.linalg.qr(a)
-    return q, np.diagonal(r, axis1=-2, axis2=-1)
-
-
-def _inplace_route_matches():
-    # Bit-for-bit agreement with np.linalg.qr on a fixed stack, whose slices
-    # give diag(R) entries of both signs.
-    z = np.array([[[1, 2j], [3, -1j]], [[-2, 1], [1j, 4]]], dtype=complex)
-    try:
-        q, d = _qr_inplace(z.copy())
-    except (AttributeError, TypeError, ValueError):
-        return False
-    q_ref, d_ref = _qr_linalg(z)
-    return np.array_equal(q, q_ref) and np.array_equal(d, d_ref)
-
-
-# np.linalg.qr spends most of a small stack's time above LAPACK: a defensive
-# copy, type resolution, wrapping, and a triu of R of which only the diagonal
-# is read here.  Calling its gufuncs directly skips that, with the same
-# arithmetic.  They are private, so they are used only where they exist and
-# reproduce np.linalg.qr exactly; the check runs once, on the first draw, not at import.
-_qr = None
-
-
 def _oriented_q(mat):
     # QR orthonormalization of each matrix in a stack, with the R-diagonal
     # phase folded into Q, so the factor is a deterministic function of the
     # input.  LAPACK's Householder QR leaves diag(R) real, so the phase is a
     # sign: negate the columns whose diagonal entry is negative (a zero entry
-    # keeps phase 1).  `_qr` may overwrite its argument, so anything but a
-    # C-contiguous complex stack (random_orthogonal's own, used in place) is
-    # copied first.
-    global _qr
-    if _qr is None:
-        _qr = _qr_inplace if _inplace_route_matches() else _qr_linalg
-    q, diag = _qr(np.ascontiguousarray(mat, dtype=complex))
-    negative = diag.real < 0
+    # keeps phase 1).  The QR kernel may overwrite its argument, so anything
+    # but a C-contiguous complex stack (random_orthogonal's own, used in
+    # place) is copied first.
+    q, r = _kernels().qr(np.ascontiguousarray(mat, dtype=complex))
+    negative = np.diagonal(r, axis1=-2, axis2=-1).real < 0
     return np.negative(q, out=q, where=negative[..., None, :])
 
 

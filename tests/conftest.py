@@ -1,41 +1,45 @@
+import types
+
 import numpy as np
 import pytest
 
-
-def same_bits(a, b):
-    """Equal dtype, shape and bytes: equal values, signs of zeros included."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def random_tensor(rng, max_m=8, max_n=8, max_p=6):
-    m = int(rng.integers(1, max_m + 1))
-    n = int(rng.integers(1, max_n + 1))
-    p = int(rng.integers(1, max_p + 1))
-    return rng.standard_normal((m, n, p))
-
-
-def fdiagonal_fixture():
-    """3x3x3 f-diagonal tensor with entries 6, 5, 9, 9; its mapped image is
-    12, 6, 5 in slice 1 plus 3 in slices 2 and 3 of the (1, 1) tube."""
-    a = np.zeros((3, 3, 3))
-    a[1, 1, 0] = 6.0
-    a[0, 0, 1] = 5.0
-    a[2, 2, 1] = 9.0
-    a[2, 2, 2] = 9.0
-    return a
-
-
-def fdiagonal_fixture_image():
-    s = np.zeros((3, 3, 3))
-    s[0, 0, 0] = 12.0
-    s[1, 1, 0] = 6.0
-    s[2, 2, 0] = 5.0
-    s[0, 0, 1] = 3.0
-    s[0, 0, 2] = 3.0
-    return s
+from tsvdkit import spectral
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 
+
+@pytest.fixture
+def use_route(monkeypatch):
+    """A function that puts every kernel on one route for the rest of the test:
+    "direct" (numpy's gufuncs) or "public" (np.fft and np.linalg)."""
+    spectral._kernels()  # the direct kernels use the module the first-use probe imports
+    routes = {"direct": spectral._DIRECT, "public": spectral._PUBLIC}
+    return lambda route: monkeypatch.setattr(spectral, "_route", routes[route])
+
+
+@pytest.fixture(params=["direct", "public"])
+def kernel_route(request, use_route):
+    """Run the test once on each kernel route."""
+    use_route(request.param)
+
+
+@pytest.fixture
+def svd_fails(monkeypatch, use_route):
+    """Make LAPACK's SVD fail on both kernel routes; returns `use_route`.
+
+    The direct route's gufuncs raise the invalid floating-point flag, as a
+    failing LAPACK call does, and np.linalg.svd raises LinAlgError.
+    """
+    def flag_invalid(*args, **kwargs):
+        return np.sqrt(-np.ones(1))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(spectral, "_umath_linalg",
+                        types.SimpleNamespace(svd_f=flag_invalid, svd=flag_invalid))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    return use_route

@@ -28,7 +28,7 @@ from tsvdkit import (
     unfold,
 )
 
-from conftest import fdiagonal_fixture, fdiagonal_fixture_image
+from tensor_cases import fdiagonal_fixture, fdiagonal_fixture_image
 
 
 def report(number, ok, detail):

@@ -9,7 +9,7 @@ from tsvdkit import frobenius_norm, read_tensor, tprod, transpose, write_tensor
 from tsvdkit import cli, kmsvd
 from tsvdkit.cli import main
 
-from conftest import fdiagonal_fixture, fdiagonal_fixture_image
+from tensor_cases import fdiagonal_fixture, fdiagonal_fixture_image
 
 
 def run_cli(argv, capsys):
@@ -304,14 +304,12 @@ class TestTprodCommand:
         assert "inner dimensions" in err
 
 
-def test_lapack_failure_exits_numerical(fixture_file, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", fail)
-    code, _, err = run_cli(["rank", fixture_file], capsys)
-    assert code == 3
-    assert "numerical failure" in err
+def test_lapack_failure_exits_numerical(fixture_file, capsys, svd_fails):
+    for route in ("direct", "public"):
+        svd_fails(route)
+        code, _, err = run_cli(["rank", fixture_file], capsys)
+        assert code == 3
+        assert "numerical failure" in err
 
 
 def test_console_entry_point(tmp_path):

@@ -30,7 +30,7 @@ def test_demo_runs(demo, tmp_path):
 
 # numpy's private modules the package may import; each can change in any
 # numpy release, so each one is a deliberate, listed choice.
-PRIVATE_NUMPY = {"numpy.linalg._umath_linalg"}
+PRIVATE_NUMPY = {"numpy.fft._pocketfft_umath", "numpy.linalg._umath_linalg"}
 
 
 def test_package_imports_only_numpy_and_the_stdlib():

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from tsvdkit import TensorFormatError, fileio, read_tensor, write_tensor
 
 import whole_text_parser
-from conftest import same_bits
+from tensor_cases import same_bits
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]

@@ -26,7 +26,7 @@ from tsvdkit import (
 )
 from tsvdkit import kmsvd
 
-from conftest import fdiagonal_fixture, fdiagonal_fixture_image, random_tensor
+from tensor_cases import fdiagonal_fixture, fdiagonal_fixture_image, random_tensor
 
 
 def reconstruct(fac):

@@ -1,4 +1,4 @@
-import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -12,25 +12,33 @@ import pytest
 from tsvdkit import (
     SingularSliceError,
     bcirc,
+    best_trank_one,
+    complex_svd,
+    dft_mode3,
     fold,
     frobenius_norm,
     identity_tensor,
     idft_mode3,
     is_orthogonal,
+    km_equal,
+    km_mapping,
     random_orthogonal,
+    sigma1,
+    sigma1_upper_bound_check,
+    singular_values,
+    spectral,
     tinverse,
     tprod,
     tprod_direct,
     transpose,
+    truncate_trank,
+    tsvd,
     unfold,
 )
 from tsvdkit.spectral import _from_half
 from tsvdkit.tprod import _oriented_q
 
-from conftest import random_tensor, same_bits
-
-# The package's `tprod` attribute is the function, so fetch the module itself.
-tprod_module = importlib.import_module("tsvdkit.tprod")
+from tensor_cases import random_tensor, same_bits
 
 
 def per_slice_draws(n, p, seed):
@@ -191,18 +199,47 @@ def complex_stacks(rng):
             yield np.zeros(shape, dtype=complex)
 
 
-@pytest.fixture(params=["_qr_inplace", "_qr_linalg"])
-def qr_route(request, monkeypatch):
-    """Force _oriented_q through one QR route."""
-    monkeypatch.setattr(tprod_module, "_qr", getattr(tprod_module, request.param))
+def kernel_outputs(a, b, seed):
+    """Every public op that runs a kernel, on an (m, n, p) tensor `a` and an
+    (n, m, p) tensor `b`, as one list of arrays.  Some products take other
+    ops' outputs, as the benchmark's trials do, so layouts carry over too."""
+    m, n, p = a.shape
+    r = min(m, n)
+    q = random_orthogonal(n, p, seed)
+    fac = tsvd(a)
+    report = singular_values(a)
+    svd = complex_svd(dft_mode3(a)[:, :, -1])
+    flags = [sigma1(a), km_equal(a, tprod(a, q)), is_orthogonal(q),
+             sigma1_upper_bound_check(a)]
+    return [
+        q, tprod(a, q), tprod(b, tprod(a, transpose(q))), tinverse(a[:r, :r]),
+        km_mapping(a), fac.u, fac.s, fac.v, truncate_trank(fac, 1 + seed % (r * p)),
+        best_trank_one(a), report.singular_values, report.t_singular_values,
+        np.array(flags, dtype=float), svd.u, svd.sigma, svd.v,
+    ]
+
+
+def off_by_one(module, name):
+    """A copy of `module` whose gufunc `name` returns one more than it should."""
+    fake = types.SimpleNamespace(**{key: getattr(module, key) for key in dir(module)})
+    gufunc = getattr(module, name)
+
+    def wrong(*args, **kwargs):
+        out = gufunc(*args, **kwargs)
+        return tuple(x + 1 for x in out) if isinstance(out, tuple) else out + 1
+
+    setattr(fake, name, wrong)
+    return fake
 
 
 class TestQrRoute:
-    def test_oriented_q_matches_linalg_formula(self, rng, qr_route):
+    """The two kernel routes: direct gufunc calls and the public wrappers."""
+
+    def test_oriented_q_matches_linalg_formula(self, rng, kernel_route):
         for z in complex_stacks(rng):
             assert same_bits(_oriented_q(z.copy()), linalg_oriented_q(z.copy()))
 
-    def test_other_inputs_are_copied(self, rng, qr_route):
+    def test_other_inputs_are_copied(self, rng, kernel_route):
         x = rng.standard_normal((3, 5, 5))
         kept = x.copy()
         assert same_bits(_oriented_q(x), linalg_oriented_q(x.astype(complex)))
@@ -213,67 +250,101 @@ class TestQrRoute:
         assert same_bits(_oriented_q(view), linalg_oriented_q(view.copy()))
         assert same_bits(big, kept)
 
-    def test_routes_give_identical_tensors(self, monkeypatch):
+    def test_routes_give_identical_tensors(self, use_route):
         outputs = {}
-        for route in ("_qr_inplace", "_qr_linalg"):
-            monkeypatch.setattr(tprod_module, "_qr", getattr(tprod_module, route))
-            outputs[route] = [random_orthogonal(n, p, seed)
-                              for seed in (0, 7, 2**40 + 3)
-                              for n in range(1, 9) for p in range(1, 9)]
-        for fast, ref in zip(outputs["_qr_inplace"], outputs["_qr_linalg"]):
+        for route in ("direct", "public"):
+            use_route(route)
+            outputs[route] = []
+            for seed in (0, 7, 2**40 + 3):
+                rng = np.random.default_rng(seed)
+                for m, n, p in itertools.product(range(1, 9), range(1, 9), range(1, 10)):
+                    a = rng.standard_normal((m, n, p))
+                    b = rng.standard_normal((n, m, p))
+                    outputs[route] += kernel_outputs(a, b, seed)
+        assert len(outputs["direct"]) == 3 * 8 * 8 * 9 * 16
+        for fast, ref in zip(outputs["direct"], outputs["public"]):
             assert same_bits(fast, ref)
 
     def test_inplace_route_is_selected(self, monkeypatch):
-        want = random_orthogonal(4, 3, 5)  # a first draw selects the route
-        assert tprod_module._qr is tprod_module._qr_inplace
+        a = np.random.default_rng(5).standard_normal((4, 3, 5))
+        want = kernel_outputs(a, a.transpose(1, 0, 2), 5)  # a first op selects the route
+        assert spectral._route is spectral._DIRECT
 
         def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.qr was called")
+            raise AssertionError("a public wrapper was called")
 
-        monkeypatch.setattr(np.linalg, "qr", refuse)
-        assert same_bits(random_orthogonal(4, 3, 5), want)
+        for module, name in [(np.linalg, "qr"), (np.linalg, "svd"),
+                             (np.fft, "rfft"), (np.fft, "irfft")]:
+            monkeypatch.setattr(module, name, refuse)
+        for got, ref in zip(kernel_outputs(a, a.transpose(1, 0, 2), 5), want, strict=True):
+            assert same_bits(got, ref)
 
     def test_route_is_selected_on_the_first_draw(self):
-        # In a fresh process: the import runs no QR, the first draw runs the
-        # self-check's one np.linalg.qr, and a second draw runs none.
+        # In a fresh process: the import loads no numpy.fft and runs no probe,
+        # the first op of any kind runs the probe once, and a second op runs
+        # none.  Each pair starts on a different kernel.
         script = textwrap.dedent("""
+            import sys
             import numpy as np
-            calls, qr = [], np.linalg.qr
-            np.linalg.qr = lambda a: calls.append(a) or qr(a)
             import tsvdkit
-            counts = [len(calls)]
-            for seed in (0, 1):
-                tsvdkit.random_orthogonal(4, 3, seed)
-                counts.append(len(calls))
-            print(counts)
+            from tsvdkit import spectral
+            print("numpy.fft" in sys.modules, spectral._route)
+            probes, probe = [], spectral._direct_route_matches
+            spectral._direct_route_matches = lambda: probes.append(1) or probe()
+            a = np.random.default_rng(0).standard_normal((3, 3, 4))
+            for op in OPS:
+                op()
+                print(len(probes), end=" ")
+            print(spectral._route is spectral._DIRECT)
         """)
-        src = Path(tprod_module.__file__).resolve().parent.parent
+        pairs = [
+            "lambda: tsvdkit.tprod(a, a), lambda: tsvdkit.km_mapping(a)",
+            "lambda: tsvdkit.random_orthogonal(3, 4, 0), lambda: tsvdkit.tprod(a, a)",
+            "lambda: tsvdkit.complex_svd(a[:, :, 0]), lambda: tsvdkit.best_trank_one(a)",
+            "lambda: tsvdkit.tsvd(a), lambda: tsvdkit.random_orthogonal(3, 4, 0)",
+        ]
+        src = Path(spectral.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[0, 1, 1]"
+        for ops in pairs:
+            done = subprocess.run([sys.executable, "-c", script.replace("OPS", f"({ops})")],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == ["False", "None", "1", "1", "True"], ops
 
     def test_selection_rejects_missing_or_different_gufuncs(self, monkeypatch):
-        monkeypatch.setattr(tprod_module, "_umath_linalg", None)
-        assert not tprod_module._inplace_route_matches()
-        real = np.linalg._umath_linalg
-        off_by_one = types.SimpleNamespace(
-            qr_r_raw=real.qr_r_raw,
-            qr_reduced=lambda a, tau, signature: real.qr_reduced(a, tau) + 1,
-        )
-        monkeypatch.setattr(tprod_module, "_umath_linalg", off_by_one)
-        assert not tprod_module._inplace_route_matches()
+        want = random_orthogonal(4, 3, 5)
+        # Restore the module the probe imports, whatever it binds here.
+        monkeypatch.setattr(spectral, "_pocketfft_umath", spectral._pocketfft_umath)
+        linalg, fft = np.linalg._umath_linalg, np.fft._pocketfft_umath
+        for name in ("svd_f", "svd", "qr_r_raw", "qr_reduced"):
+            monkeypatch.setattr(spectral, "_umath_linalg", off_by_one(linalg, name))
+            assert not spectral._direct_route_matches(), name
+        monkeypatch.setattr(spectral, "_umath_linalg", linalg)
+        for name in ("rfft_n_even", "rfft_n_odd", "irfft"):
+            monkeypatch.setattr(np.fft, "_pocketfft_umath", off_by_one(fft, name))
+            assert not spectral._direct_route_matches(), name
+        monkeypatch.setattr(np.fft, "_pocketfft_umath", fft)
+        assert spectral._direct_route_matches()
+        # A missing module selects the public route, which gives the same bits.
+        monkeypatch.setattr(spectral, "_umath_linalg", None)
+        assert not spectral._direct_route_matches()
+        monkeypatch.setattr(spectral, "_route", None)
+        assert same_bits(random_orthogonal(4, 3, 5), want)
+        assert spectral._route is spectral._PUBLIC
+        monkeypatch.setattr(spectral, "_umath_linalg", linalg)
+        monkeypatch.delattr(np.fft, "_pocketfft_umath")  # as on numpy 1.x
+        monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        assert not spectral._direct_route_matches()
 
     def test_lapack_failure_raises_linalgerror(self, monkeypatch):
         # A LAPACK failure surfaces as the invalid floating-point flag.
         flags_invalid = types.SimpleNamespace(
-            qr_r_raw=lambda a, signature: np.sqrt(-np.ones(1)),
+            qr_r_raw=lambda a: np.sqrt(-np.ones(1)),
             qr_reduced=None,
         )
-        monkeypatch.setattr(tprod_module, "_umath_linalg", flags_invalid)
+        monkeypatch.setattr(spectral, "_umath_linalg", flags_invalid)
         with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
-            tprod_module._qr_inplace(np.eye(2, dtype=complex)[None])
+            spectral._qr_direct(np.eye(2, dtype=complex)[None])
 
 
 class TestTinverse:
