@@ -47,9 +47,9 @@ _WRITE_CHUNK = 4096
 _READ_CHUNK = 1 << 16
 _CONVERT_CHUNK = 1 << 12
 
-# The line boundaries of str.splitlines other than "\n".  ("\r" never reaches
-# the parser: text-mode reads translate it.)
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# The line boundaries of str.splitlines.  ("\r" never reaches the parser:
+# text-mode reads translate it.)
+_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TensorFormatError(ValueError):
@@ -113,9 +113,8 @@ def _segments(fh):
     """Yield (text, ends_line) for the lines str.splitlines would split the
     file into, in pieces of at most `_READ_CHUNK` characters without breaks."""
     for piece in iter(lambda: fh.readline(_READ_CHUNK), ""):
-        split = any(c in piece for c in _OTHER_BREAKS)
-        for part in piece.splitlines(keepends=True) if split else [piece]:
-            ends_line = part[-1] == "\n" or part[-1] in _OTHER_BREAKS
+        for part in piece.splitlines(keepends=True):
+            ends_line = part[-1] in _BREAKS
             yield (part[:-1] if ends_line else part), ends_line
     # End a last line that has no break; after one that has, this adds a
     # blank line, which the grammar ignores.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_tol, _norm2, as_tensor
-from .spectral import _from_half, _half, _kernels, _rhalf, _svd, complex_svd, dft_mode3
+from .spectral import _from_half, _half, _rhalf, _svd, complex_svd, dft_mode3
 from .tprod import _conformable
 
 __all__ = [
@@ -58,7 +58,7 @@ def _km_diag(a):
     The image's off-diagonal entries are zero, so these tubes are all of it.
     """
     vals = _svd(_rhalf(a), compute_uv=False)  # (p//2+1, r)
-    return _kernels().irfft(vals.T, a.shape[2])
+    return _from_half(vals, a.shape[2])
 
 
 def _f_diagonal(tubes, m, n):
@@ -87,7 +87,7 @@ def tsvd(a):
     a = as_tensor(a)
     m, n, p = a.shape
     factors = [complex_svd(d) for d in _half(dft_mode3(a))]
-    tubes = _kernels().irfft(np.array([f.sigma for f in factors]).T, p)
+    tubes = _from_half(np.array([f.sigma for f in factors]), p)
     return TSvd(
         u=_from_half(np.stack([f.u for f in factors]), p),
         s=_f_diagonal(tubes, m, n),
@@ -140,7 +140,7 @@ def _truncated(u_half, vt_half, diag, s, p):
     keep = np.argsort(-np.abs(flat), kind="stable")[:s]
     kept = np.zeros(total)
     kept[keep] = flat[keep]
-    c = _kernels().rfft(kept.reshape(p, r).T).T
+    c = _rhalf(kept.reshape(p, r).T)
     return _from_half((u_half[:, :, :r] * c[:, None, :]) @ vt_half[:, :r], p)
 
 
@@ -155,9 +155,10 @@ def truncate_trank(fac, s):
     _conformable(mid, v.transpose(1, 0, 2))
     r = min(mid.shape[0], mid.shape[1])
     diag = mid[np.arange(r), np.arange(r)]
-    # The spectrum of transpose(v) is the conjugate transpose of v's slices.
-    vt_half = _rhalf(v).conj().swapaxes(1, 2)
-    return _truncated(_rhalf(u), vt_half, diag, s, mid.shape[2])
+    # Only the first r columns of u and v meet the diagonal.  The spectrum of
+    # transpose(v) is the conjugate transpose of v's slices.
+    vt_half = _rhalf(v[:, :r]).conj().swapaxes(1, 2)
+    return _truncated(_rhalf(u[:, :r]), vt_half, diag, s, mid.shape[2])
 
 
 def best_trank_one(a):
@@ -169,7 +170,7 @@ def best_trank_one(a):
     a = as_tensor(a)
     u, sigma, vh = _svd(_rhalf(a))
     p = a.shape[2]
-    return _truncated(u, vh, _kernels().irfft(sigma.T, p), 1, p)
+    return _truncated(u, vh, _from_half(sigma, p), 1, p)
 
 
 def sigma1(a):

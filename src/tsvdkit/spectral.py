@@ -15,6 +15,13 @@ LAPACK gufuncs directly, skipping the wrappers' per-call overhead, once a probe
 on first use shows that these match ``np.fft`` and ``np.linalg`` bit for bit;
 otherwise (numpy 1.x) they call ``np.fft`` and ``np.linalg``, as
 ``dft_mode3`` and ``idft_mode3`` always do.
+
+This module alone knows the kernels, the slice-major layout and LAPACK's
+contracts.  The rest of the package reaches the kernels only through
+``_rhalf`` (data with the DFT axis last in, a stack with it first out, any
+rank), ``_svd``, ``_oriented_q`` (QR with a deterministic sign) and
+``_from_half`` (the inverse of ``_rhalf``), besides ``tsvd``'s ``_half`` and
+``complex_svd``.
 """
 
 from collections import namedtuple
@@ -95,13 +102,29 @@ def _svd(d, compute_uv=True):
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from None
 
 
+def _oriented_q(mat):
+    """Q of the QR of each matrix in a stack, with the R-diagonal phase
+    folded in, so the factor is a deterministic function of the input.
+
+    LAPACK's Householder QR leaves diag(R) real, so the phase is a sign: the
+    columns whose diagonal entry is negative are negated (a zero entry keeps
+    phase 1).  The QR kernel may overwrite its argument, so anything but a
+    C-contiguous complex stack (used in place) is copied first.
+    """
+    q, r = _kernels().qr(np.ascontiguousarray(mat, dtype=complex))
+    negative = np.diagonal(r, axis1=-2, axis2=-1).real < 0
+    return np.negative(q, out=q, where=negative[..., None, :])
+
+
 def _normalize_phases(u, sigma, v):
     """Make the first significant entry of each left column real nonnegative.
 
     Compensating phases go into the paired right column so the product
     u @ diag(sigma) @ v^H is unchanged.  Real factors get signs only, so
-    they stay exactly real.
+    they stay exactly real.  A u with no entries has no columns to fix.
     """
+    if not u.size:
+        return u, v
     cols = np.arange(u.shape[1])
     lead = u[(np.abs(u) > 1e-8).argmax(axis=0), cols]
     phase_conj = lead.conj() / np.abs(lead)
@@ -146,21 +169,26 @@ def _half(spec):
     return half
 
 
-def _rhalf(a):
-    """Slices 0..p//2 of the spectrum of a validated real tensor, as a stack.
+def _rhalf(x):
+    """Slices 0..p//2 of the spectrum of validated real data along its last
+    axis, with that axis first: an (m, n, p) tensor gives a (p//2+1, m, n)
+    stack, (r, p) tubes a (p//2+1, r) array.
 
     ``rfft`` returns the self-paired slices exactly real.
     """
-    return _kernels().rfft(a).transpose(2, 0, 1)
+    half = _kernels().rfft(x)
+    return half.transpose(-1, *range(half.ndim - 1))
 
 
 def _from_half(stack, p):
-    """Real (m, n, p) tensor whose spectrum has slices 0..p//2 equal to `stack`.
+    """Real data whose spectrum along the last axis has slices 0..p//2 equal
+    to `stack` along its first: a (p//2+1, m, n) stack gives an (m, n, p)
+    tensor, a (p//2+1, r) array (r, p) tubes.
 
     The other slices are the conjugate mirror, and the imaginary part of the
     self-paired slices is ignored, so the result is real by construction.
     """
-    return _kernels().irfft(stack.transpose(1, 2, 0), p)
+    return _kernels().irfft(stack.transpose(*range(1, stack.ndim), 0), p)
 
 
 # rfft(a) and irfft(x, p) act along the last axis and svd(d, compute_uv) on a
@@ -189,7 +217,8 @@ def _irfft_direct(x, p):
 
 def _lapack_errors(message):
     # np.linalg's own error state: a LAPACK gufunc reports failure by raising
-    # the invalid flag, which this turns into LinAlgError(message).
+    # the invalid flag, which this turns into LinAlgError(message).  Used as a
+    # decorator, it is built once per kernel instead of once per call.
     def fail(err, flag):
         raise np.linalg.LinAlgError(message)
 
@@ -197,17 +226,17 @@ def _lapack_errors(message):
                        divide="ignore", under="ignore")
 
 
+@_lapack_errors("SVD did not converge")
 def _svd_direct(d, compute_uv):
-    with _lapack_errors("SVD did not converge"):
-        return _umath_linalg.svd_f(d) if compute_uv else _umath_linalg.svd(d)
+    return _umath_linalg.svd_f(d) if compute_uv else _umath_linalg.svd(d)
 
 
+@_lapack_errors("Incorrect argument found while performing QR factorization")
 def _qr_direct(a):
     # The two gufuncs np.linalg.qr runs, geqrf then ungqr.  geqrf overwrites
     # `a` with the raw factor, whose upper triangle is R.
-    with _lapack_errors("Incorrect argument found while performing QR factorization"):
-        tau = _umath_linalg.qr_r_raw(a)
-        return _umath_linalg.qr_reduced(a, tau), a
+    tau = _umath_linalg.qr_r_raw(a)
+    return _umath_linalg.qr_reduced(a, tau), a
 
 
 _DIRECT = _Kernels(_rfft_direct, _irfft_direct, _svd_direct, _qr_direct)

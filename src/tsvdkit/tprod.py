@@ -12,7 +12,7 @@ from .core import (
     transpose,
     unfold,
 )
-from .spectral import _from_half, _kernels, _rhalf, _svd
+from .spectral import _from_half, _oriented_q, _rhalf, _svd
 
 __all__ = [
     "tprod",
@@ -77,19 +77,6 @@ def is_orthogonal(q, tol=1e-10):
         frobenius_norm(tprod(qt, q) - ident) <= tol
         and frobenius_norm(tprod(q, qt) - ident) <= tol
     )
-
-
-def _oriented_q(mat):
-    # QR orthonormalization of each matrix in a stack, with the R-diagonal
-    # phase folded into Q, so the factor is a deterministic function of the
-    # input.  LAPACK's Householder QR leaves diag(R) real, so the phase is a
-    # sign: negate the columns whose diagonal entry is negative (a zero entry
-    # keeps phase 1).  The QR kernel may overwrite its argument, so anything
-    # but a C-contiguous complex stack (random_orthogonal's own, used in
-    # place) is copied first.
-    q, r = _kernels().qr(np.ascontiguousarray(mat, dtype=complex))
-    negative = np.diagonal(r, axis1=-2, axis2=-1).real < 0
-    return np.negative(q, out=q, where=negative[..., None, :])
 
 
 def random_orthogonal(n, p, seed):

@@ -61,6 +61,43 @@ def test_package_imports_only_numpy_and_the_stdlib():
     assert private == PRIVATE_NUMPY
 
 
+# The names that reach the FFT, SVD and QR kernels; spectral.py owns them.
+KERNEL_NAMES = {"_kernels", "_umath_linalg", "_pocketfft_umath"}
+KERNEL_CALLS = ("np.fft", "numpy.fft", "np.linalg.svd", "numpy.linalg.svd",
+                "np.linalg.qr", "numpy.linalg.qr")
+
+
+def dotted(node):
+    """The dotted name an attribute chain spells, such as "np.linalg.svd"."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_only_spectral_reaches_the_kernels():
+    # The rest of the package runs FFTs, SVDs and QRs through spectral's
+    # half-spectrum helpers, so the layout and LAPACK's contracts live in one
+    # module.
+    for path in sorted((ROOT / "src" / "tsvdkit").glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [dotted(node)]
+            else:
+                continue
+            for name in names:
+                where = f"{path.name}:{node.lineno} names {name}"
+                assert not set(name.split(".")) & KERNEL_NAMES, where
+                assert not any(name == call or name.startswith(call + ".")
+                               for call in KERNEL_CALLS), where
+
+
 def module_imports(node):
     """Each name bound by a module-level import, also inside a top-level try."""
     for child in ast.iter_child_nodes(node):

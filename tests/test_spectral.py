@@ -217,6 +217,17 @@ class TestComplexSvd:
         with pytest.raises(ValueError, match="matrix"):
             complex_svd(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("m,n", [(0, 3), (0, 0), (3, 0)])
+    def test_empty_matrix(self, m, n, kernel_route):
+        # No singular values; u is m×m and v is n×n, and both are unitary.
+        f = complex_svd(np.zeros((m, n)))
+        assert f.sigma.shape == (0,)
+        assert f.u.shape == (m, m) and f.v.shape == (n, n)
+        assert f.u.dtype == f.v.dtype == complex
+        for factor in (f.u, f.v):
+            np.testing.assert_allclose(factor.conj().T @ factor, np.eye(len(factor)),
+                                       atol=1e-12)
+
     def test_lapack_failure_reported(self, rng, svd_fails):
         for route in ("direct", "public"):
             svd_fails(route)

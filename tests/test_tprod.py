@@ -35,8 +35,7 @@ from tsvdkit import (
     tsvd,
     unfold,
 )
-from tsvdkit.spectral import _from_half
-from tsvdkit.tprod import _oriented_q
+from tsvdkit.spectral import _from_half, _oriented_q
 
 from tensor_cases import random_tensor, same_bits
 
