@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .core import frobenius_norm, transpose
-from .fileio import TensorFormatError, read_tensor, write_tensor
+from .fileio import read_tensor, write_tensor
 from .kmsvd import (SIGMA1_BOUND_SLACK, km_equal, sigma1, sigma1_upper_bound_check,
                     singular_values, truncate_trank, tsvd)
 from .tprod import random_orthogonal, tprod
@@ -43,6 +43,11 @@ def _default_prefix(path):
     return stem if ext else path
 
 
+def _residual(a, fac):
+    """||a - u * s * transpose(v)||_F for the T-SVD `fac` of `a`."""
+    return frobenius_norm(a - tprod(fac.u, tprod(fac.s, transpose(fac.v))))
+
+
 def cmd_tsvd(args):
     a = read_tensor(args.input)
     fac = tsvd(a)
@@ -50,7 +55,7 @@ def cmd_tsvd(args):
     for suffix, tensor in ((".u", fac.u), (".s", fac.s), (".v", fac.v)):
         write_tensor(prefix + suffix, tensor)
     norm_a = frobenius_norm(a)
-    residual = frobenius_norm(a - tprod(fac.u, tprod(fac.s, transpose(fac.v))))
+    residual = _residual(a, fac)
     _print_kv("input", args.input)
     _print_kv("dims", list(a.shape))
     _print_kv("u", prefix + ".u")
@@ -88,8 +93,7 @@ def _verify_checks(a, seed, trials):
     m, n, p = a.shape
     norm_a = frobenius_norm(a)
 
-    fac = tsvd(a)
-    recon = frobenius_norm(a - tprod(fac.u, tprod(fac.s, transpose(fac.v))))
+    recon = _residual(a, tsvd(a))
     yield ("reconstruction", RECONSTRUCTION_TOL, recon <= RECONSTRUCTION_TOL * norm_a)
 
     yield ("sigma1_bound", SIGMA1_BOUND_SLACK, sigma1_upper_bound_check(a))
@@ -190,7 +194,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TensorFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"tsvdkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

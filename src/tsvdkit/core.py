@@ -22,19 +22,31 @@ __all__ = [
 ]
 
 
-def _real_array(x):
-    """`x` as float64; complex input raises ValueError, not a ComplexWarning.
+_ORDERS = {2: "", 3: "third-order "}
 
-    That includes complex Python numbers in an object array, which numpy
-    refuses to convert with a TypeError.
+
+def _array(x, ndim, what, dtype=float):
+    """`x` as a float64 (or, with ``dtype=complex``, complex128) array with
+    `ndim` axes and finite entries; anything else raises ValueError.
+
+    Where real entries are expected, complex input raises ValueError rather
+    than a ComplexWarning, including complex Python numbers in an object
+    array, which numpy refuses to convert with a TypeError.  `what` names the
+    array in the messages.
     """
     arr = np.asarray(x)
-    if arr.dtype.kind == "c":
+    if dtype is float and arr.dtype.kind == "c":
         raise ValueError(f"expected real entries, got complex dtype {arr.dtype}")
     try:
-        return arr.astype(float, copy=False)
+        arr = arr.astype(dtype, copy=False)
     except TypeError as exc:
-        raise ValueError(f"expected real entries: {exc}") from None
+        kind = "real" if dtype is float else "numeric"
+        raise ValueError(f"expected {kind} entries: {exc}") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {_ORDERS[ndim]}{what}, got {arr.ndim} axes")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
+    return arr
 
 
 def as_tensor(a):
@@ -43,13 +55,9 @@ def as_tensor(a):
     Raises ValueError if `a` is complex, is not three-dimensional, has an
     empty axis, or contains non-finite entries.
     """
-    arr = _real_array(a)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got {arr.ndim} axes")
+    arr = _array(a, 3, "tensor")
     if min(arr.shape) < 1:
         raise ValueError(f"tensor axes must be positive, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor entries must be finite (no NaN/Inf)")
     return arr
 
 
@@ -88,10 +96,11 @@ def unfold(a):
 
 
 def fold(mat, p):
-    """Inverse of :func:`unfold`: reassemble p stacked slices into a tensor."""
-    mat = _real_array(mat)
-    if mat.ndim != 2:
-        raise ValueError(f"fold expects a matrix, got {mat.ndim} axes")
+    """Inverse of :func:`unfold`: reassemble p stacked slices into a tensor.
+
+    `mat` must be a real matrix with finite entries, else ValueError.
+    """
+    mat = _array(mat, 2, "matrix")
     rows, n = mat.shape
     if p < 1 or rows % p != 0:
         raise ValueError(f"cannot fold {rows} rows into {p} frontal slices")
@@ -115,14 +124,14 @@ def bcirc(a):
 def bcirc_inverse(mat, m, n, p, tol=1e-9):
     """Recover the tensor whose block circulant matrix is `mat`.
 
-    `mat` must be (m*p, n*p) with circulant block structure; any block that
-    deviates from the first block column by more than `tol` times the largest
-    entry magnitude (a relative gate, per entry) raises ValueError; a zero
-    matrix passes.  The extraction itself is a pure slice, so
-    ``bcirc_inverse(bcirc(a), ...)`` returns `a` exactly.
+    `mat` must be a real (m*p, n*p) matrix with finite entries and circulant
+    block structure; any block that deviates from the first block column by
+    more than `tol` times the largest entry magnitude (a relative gate, per
+    entry) raises ValueError; a zero matrix passes.  The extraction itself is
+    a pure slice, so ``bcirc_inverse(bcirc(a), ...)`` returns `a` exactly.
     """
     _check_tol(tol)
-    mat = _real_array(mat)
+    mat = _array(mat, 2, "matrix")
     if any(d < 1 for d in (m, n, p)):
         raise ValueError(f"tensor axes must be positive, got ({m}, {n}, {p})")
     if mat.shape != (m * p, n * p):

@@ -150,14 +150,12 @@ def truncate_trank(fac, s):
     Ties are broken by slice-then-row position, ascending, so position
     (1, 1, 1) always hosts the top value.  Returns u * s_kept * transpose(v).
     """
-    u, mid = _conformable(fac.u, fac.s)
-    v = as_tensor(fac.v)
-    _conformable(mid, v.transpose(1, 0, 2))
+    u, mid, vt = _conformable(fac.u, fac.s, np.swapaxes(fac.v, 0, 1))
     r = min(mid.shape[0], mid.shape[1])
     diag = mid[np.arange(r), np.arange(r)]
     # Only the first r columns of u and v meet the diagonal.  The spectrum of
     # transpose(v) is the conjugate transpose of v's slices.
-    vt_half = _rhalf(v[:, :r]).conj().swapaxes(1, 2)
+    vt_half = _rhalf(vt[:r].swapaxes(0, 1)).conj().swapaxes(1, 2)
     return _truncated(_rhalf(u[:, :r]), vt_half, diag, s, mid.shape[2])
 
 

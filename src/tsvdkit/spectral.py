@@ -18,10 +18,10 @@ otherwise (numpy 1.x) they call ``np.fft`` and ``np.linalg``, as
 
 This module alone knows the kernels, the slice-major layout and LAPACK's
 contracts.  The rest of the package reaches the kernels only through
-``_rhalf`` (data with the DFT axis last in, a stack with it first out, any
-rank), ``_svd``, ``_oriented_q`` (QR with a deterministic sign) and
-``_from_half`` (the inverse of ``_rhalf``), besides ``tsvd``'s ``_half`` and
-``complex_svd``.
+``_rhalf`` (data with the DFT axis last in, a stack with it first out, for
+tensors and for (r, p) tubes), ``_svd``, ``_oriented_q`` (QR with a
+deterministic sign) and ``_from_half`` (the inverse of ``_rhalf``), besides
+``tsvd``'s ``_half`` and ``complex_svd``.
 """
 
 from collections import namedtuple
@@ -34,7 +34,7 @@ try:
 except ImportError:  # private module; the kernels then use np.linalg
     _umath_linalg = None
 
-from .core import _check_tol, as_tensor
+from .core import _array, _check_tol, as_tensor
 
 __all__ = [
     "dft_mode3",
@@ -61,15 +61,14 @@ def dft_mode3(a):
 def idft_mode3(d, residue_tol=IMAG_RESIDUE_TOL):
     """Inverse DFT along tubes of a conjugate-symmetric complex array.
 
-    Returns the real part after checking that every entry's imaginary residue
-    is at most ``residue_tol * max modulus``, a gate relative to the scale of
-    the result; a larger residue raises ValueError because the input cannot be
-    the transform of a real tensor.  A zero spectrum passes.
+    The entries must be finite, else ValueError.  Returns the real part after
+    checking that every entry's imaginary residue is at most
+    ``residue_tol * max modulus``, a gate relative to the scale of the result;
+    a larger residue raises ValueError because the input cannot be the
+    transform of a real tensor.  A zero spectrum passes.
     """
     _check_tol(residue_tol)
-    d = np.asarray(d, dtype=complex)
-    if d.ndim != 3:
-        raise ValueError(f"expected a third-order spectrum, got {d.ndim} axes")
+    d = _array(d, 3, "spectrum", dtype=complex)
     x = np.fft.ifft(d, axis=2)
     residue = np.abs(x.imag).max()
     if residue > residue_tol * np.abs(x).max():
@@ -137,16 +136,12 @@ def _normalize_phases(u, sigma, v):
 def complex_svd(d):
     """Full SVD of a complex matrix with deterministic factors.
 
-    LAPACK's SVD, with the real driver when the imaginary part is all zero so
-    that exactly real input yields exactly real factors.  Singular values are
-    non-increasing and each left column's first significant entry is made
-    real nonnegative.
+    The entries must be finite, else ValueError.  LAPACK's SVD, with the real
+    driver when the imaginary part is all zero so that exactly real input
+    yields exactly real factors.  Singular values are non-increasing and each
+    left column's first significant entry is made real nonnegative.
     """
-    d = np.asarray(d, dtype=complex)
-    if d.ndim != 2:
-        raise ValueError(f"expected a matrix, got {d.ndim} axes")
-    if d.size and not np.isfinite(d).all():
-        raise ValueError("matrix entries must be finite")
+    d = _array(d, 2, "matrix", dtype=complex)
     if not d.imag.any():
         d = d.real
     u, sigma, vh = _svd(d)
@@ -169,6 +164,11 @@ def _half(spec):
     return half
 
 
+# Axis orders, by rank, that move the DFT axis from last to first and back.
+_AXIS_FIRST = {2: (1, 0), 3: (2, 0, 1)}
+_AXIS_LAST = {2: (1, 0), 3: (1, 2, 0)}
+
+
 def _rhalf(x):
     """Slices 0..p//2 of the spectrum of validated real data along its last
     axis, with that axis first: an (m, n, p) tensor gives a (p//2+1, m, n)
@@ -177,7 +177,7 @@ def _rhalf(x):
     ``rfft`` returns the self-paired slices exactly real.
     """
     half = _kernels().rfft(x)
-    return half.transpose(-1, *range(half.ndim - 1))
+    return half.transpose(_AXIS_FIRST[half.ndim])
 
 
 def _from_half(stack, p):
@@ -188,7 +188,7 @@ def _from_half(stack, p):
     The other slices are the conjugate mirror, and the imaginary part of the
     self-paired slices is ignored, so the result is real by construction.
     """
-    return _kernels().irfft(stack.transpose(*range(1, stack.ndim), 0), p)
+    return _kernels().irfft(stack.transpose(_AXIS_LAST[stack.ndim]), p)
 
 
 # rfft(a) and irfft(x, p) act along the last axis and svd(d, compute_uv) on a

@@ -1,8 +1,12 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsvdkit
 from tsvdkit import (
     as_tensor,
     bcirc,
@@ -180,6 +184,64 @@ class TestFDiagonal:
             is_f_diagonal(np.zeros((3, 3, 2)), tol=tol)
 
 
+_T = np.arange(1.0, 9.0).reshape(2, 2, 2)  # square slices, invertible transform
+
+
+def _with(x, pos, value):
+    """A copy of the array `x` with `value` at `pos`."""
+    x = np.array(x)
+    x[pos] = value
+    return x
+
+
+def _truncate_bad_middle(bad):
+    fac = tsvdkit.tsvd(_T)
+    middle = _with(fac.s, (0, 1, 1), bad)
+    return tsvdkit.truncate_trank(dataclasses.replace(fac, s=middle), 1)
+
+
+# Every public function that takes an array, called with `bad` in one entry of
+# an input.  bcirc_inverse's bad entry sits off the first block column, the
+# only one it extracts; truncate_trank's sits off the diagonal of the middle
+# factor, which it never reads.
+_ARRAY_CALLS = {
+    "as_tensor": lambda bad: tsvdkit.as_tensor(_with(_T, (1, 0, 1), bad)),
+    "frobenius_norm": lambda bad: tsvdkit.frobenius_norm(_with(_T, (1, 0, 1), bad)),
+    "unfold": lambda bad: tsvdkit.unfold(_with(_T, (1, 0, 1), bad)),
+    "fold": lambda bad: tsvdkit.fold(_with(np.ones((4, 2)), (3, 1), bad), 2),
+    "bcirc": lambda bad: tsvdkit.bcirc(_with(_T, (1, 0, 1), bad)),
+    "bcirc_inverse": lambda bad: tsvdkit.bcirc_inverse(
+        _with(tsvdkit.bcirc(_T), (0, 3), bad), 2, 2, 2),
+    "transpose": lambda bad: tsvdkit.transpose(_with(_T, (1, 0, 1), bad)),
+    "is_f_diagonal": lambda bad: tsvdkit.is_f_diagonal(_with(_T, (1, 1, 1), bad)),
+    "tprod": lambda bad: tsvdkit.tprod(_T, _with(_T, (1, 0, 1), bad)),
+    "tprod_direct": lambda bad: tsvdkit.tprod_direct(_T, _with(_T, (1, 0, 1), bad)),
+    "is_orthogonal": lambda bad: tsvdkit.is_orthogonal(_with(_T, (1, 0, 1), bad)),
+    "tinverse": lambda bad: tsvdkit.tinverse(_with(_T, (1, 0, 1), bad)),
+    "dft_mode3": lambda bad: tsvdkit.dft_mode3(_with(_T, (1, 0, 1), bad)),
+    "idft_mode3": lambda bad: tsvdkit.idft_mode3(
+        _with(tsvdkit.dft_mode3(_T), (0, 1, 1), bad)),
+    "complex_svd": lambda bad: tsvdkit.complex_svd(_with(_T[:, :, 0], (0, 1), bad)),
+    "km_mapping": lambda bad: tsvdkit.km_mapping(_with(_T, (1, 0, 1), bad)),
+    "tsvd": lambda bad: tsvdkit.tsvd(_with(_T, (1, 0, 1), bad)),
+    "singular_values": lambda bad: tsvdkit.singular_values(_with(_T, (1, 0, 1), bad)),
+    "truncate_trank": _truncate_bad_middle,
+    "best_trank_one": lambda bad: tsvdkit.best_trank_one(_with(_T, (1, 0, 1), bad)),
+    "sigma1": lambda bad: tsvdkit.sigma1(_with(_T, (1, 0, 1), bad)),
+    "sigma1_upper_bound_check": lambda bad: tsvdkit.sigma1_upper_bound_check(
+        _with(_T, (1, 0, 1), bad)),
+    "km_equal": lambda bad: tsvdkit.km_equal(_T, _with(_T, (1, 0, 1), bad)),
+    "write_tensor": lambda bad: tsvdkit.write_tensor(os.devnull, _with(_T, (1, 0, 1), bad)),
+}
+# Public names that take no array: the version, the classes and exceptions,
+# constructors from sizes or a seed, a threshold from a shape, and the reader.
+_NO_ARRAY = {
+    "__version__", "SingularSliceError", "SliceSvd", "SvdConvergenceError",
+    "TSvd", "RankReport", "TensorFormatError", "identity_tensor",
+    "random_orthogonal", "default_rank_threshold", "read_tensor",
+}
+
+
 class TestValidation:
     def test_rejects_nan(self):
         a = np.zeros((2, 2, 2))
@@ -220,6 +282,17 @@ class TestValidation:
         z = np.full((2, 2, 2), 1 + 1j, dtype=object)
         with pytest.raises(ValueError, match="expected real entries.*complex"):
             call(z)
+
+    def test_every_public_name_is_classified(self):
+        # A new public function must join the contract table or be exempted.
+        assert not _ARRAY_CALLS.keys() & _NO_ARRAY
+        assert set(tsvdkit.__all__) == _ARRAY_CALLS.keys() | _NO_ARRAY
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", sorted(_ARRAY_CALLS))
+    def test_non_finite_entry_raises(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _ARRAY_CALLS[name](bad)
 
 
 @settings(max_examples=40, deadline=None)
