@@ -17,8 +17,9 @@ file size.
 
 Lines end where ``str.splitlines`` ends them.  A field runs from its
 ``key =`` line to the first line whose text, comment cut, ends with ``]``.
-Its lines, each stripped, are joined by one space, and the list entries are
-the comma-separated parts between the outer brackets.
+One list grammar serves both fields: the field's lines, each stripped, are
+joined by one space, and the list entries are the comma-separated parts
+between the outer brackets; `dims` takes integers, `data` finite numbers.
 
 Memory is bounded by the tensor, not by its text.  A write formats the list
 4096 entries at a time, copying at most that many entries.  A read takes
@@ -26,12 +27,14 @@ every input, pipes included, once, 64 Ki characters at a time, and converts
 the entries straight into the result array (into pieces joined at the end
 when `data` comes before `dims`).  Beside that piece it holds fewer than 4 Ki
 characters of entries not yet converted, and all of an entry that runs
-longer.  A malformed file is reported from that same pass, with its line
+longer.  The bound holds also when a field runs on past its line, as a `dims`
+that lacks its ``]`` runs on through `data`: `dims` keeps three entries and
+only counts the rest.  A malformed file is reported from that same pass, with its line
 number and, for a bad list entry, the entry's index and text.  The first
 fault the pass meets is the one reported: a line that is no `key = value`
 field, or names an unknown or repeated one, at that line; a byte that is not
-UTF-8 when the decoder, which reads a few KiB ahead, reaches it; the other
-faults after the last line.
+UTF-8 when the decoder, which reads up to 64 Ki characters ahead, reaches
+it; the other faults after the last line.
 """
 
 import numpy as np
@@ -64,55 +67,16 @@ def _numeral(convert, tok):
     return convert(tok)
 
 
-def _parse_ints(tokens, source, lineno):
-    out = []
-    for idx, tok in enumerate(tokens):
-        try:
-            out.append(_numeral(int, tok))
-        except ValueError:
-            raise TensorFormatError(
-                f"{source}:{lineno}: field 'dims' entry {idx + 1} is not an "
-                f"integer: {tok!r}"
-            ) from None
-    return out
-
-
-def _split_list(body, key, source, lineno):
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise TensorFormatError(
-            f"{source}:{lineno}: field {key!r} must be a bracketed list"
-        )
-    inner = body[1:-1].strip()
-    if not inner:
-        return []
-    tokens = [tok.strip() for tok in inner.split(",")]
-    if any(not tok for tok in tokens):
-        raise TensorFormatError(
-            f"{source}:{lineno}: field {key!r} has an empty list entry"
-        )
-    return tokens
-
-
-def _dims(text, source, lineno):
-    """The three positive sides listed by the text of a `dims` field."""
-    dims = _parse_ints(_split_list(text, "dims", source, lineno), source, lineno)
-    if len(dims) != 3:
-        raise TensorFormatError(
-            f"{source}:{lineno}: 'dims' must have exactly 3 entries, "
-            f"got {len(dims)}"
-        )
-    if min(dims) < 1:
-        raise TensorFormatError(
-            f"{source}:{lineno}: 'dims' entries must be positive, got {dims}"
-        )
-    return dims
+def _joined(text):
+    """An entry's text as the grammar reads it: its lines, each stripped,
+    blank ones dropped, joined by one space."""
+    return " ".join(line for line in map(str.strip, text.split("\n")) if line)
 
 
 def _segments(fh):
     """Yield (text, ends_line) for the lines str.splitlines would split the
     file into, in pieces of at most `_READ_CHUNK` characters without breaks."""
-    for piece in iter(lambda: fh.readline(_READ_CHUNK), ""):
+    for piece in iter(lambda: fh.read(_READ_CHUNK), ""):
         for part in piece.splitlines(keepends=True):
             ends_line = part[-1] in _BREAKS
             yield (part[:-1] if ends_line else part), ends_line
@@ -122,35 +86,52 @@ def _segments(fh):
 
 
 class _Entries:
-    """The `data` list, converted a batch of entries at a time as its text
-    arrives.
+    """One field's list, its entries converted a batch at a time as the
+    field's text arrives.
 
-    The values go straight into `out` when `dims` came first, into `parts`
-    when it did not, and nowhere when `dims` is too large to allocate: the
-    count then differs from it.  `fault` holds the first fault in the order
-    a whole list reports them, `rank` being its place: 0, not a bracketed
-    list; 1, an empty entry; 2, the first entry that is not a number or not
-    finite.
+    `dims` entries are integers: the first three are kept in `out`, the rest
+    only counted.  `data` entries are finite floats: they go straight into
+    `out` when a valid `dims` came first, into `parts` when `data` comes
+    first, and nowhere when `dims` is invalid or too large to allocate.
+    `fault` holds the first fault in the order the whole-text grammar reports
+    them, `rank` being its place: 0, not a bracketed list; 1, an empty entry;
+    2, the first entry that is not a numeral of its kind or not finite; then,
+    for `dims` once it is closed, its arity and its sign.
     """
 
-    def __init__(self, dims):
+    def __init__(self, key, dims):
+        self.key = key
         self.out = self.parts = self.carry = self.fault = self.rank = None
-        self.count = 0  # entries taken
-        if dims is None:
-            self.parts = []
+        self.count, self.last = 0, ""  # entries taken; last non-blank character
+        if key == "dims":
+            self.kind, self.dtype, self.noun = int, object, "an integer"
+            self.out = self.order = [None] * 3
         else:
-            try:
-                self.out = np.empty(dims)
-            except (MemoryError, ValueError):  # ValueError: too large to index
-                pass
+            self.kind, self.dtype, self.noun = float, float, "a number"
+            if dims is None:
+                self.parts = []
+            elif dims.fault is None:
+                try:
+                    self.out = np.empty(dims.out)
+                    self.order = self.out.transpose(2, 0, 1).flat  # in list order
+                except (MemoryError, ValueError):  # ValueError: too large to index
+                    pass
 
-    def feed(self, text):
-        """Take the next piece of the field's text."""
+    def feed(self, text, ends_line):
+        """Take the next piece of the field's text, comment cut; True once the
+        field has ended: its line ended, its last non-blank character a "]"."""
+        stripped = text.rstrip()
+        if stripped:
+            self.last = stripped[-1]
         if self.carry is None:  # before the "["
             text = text.lstrip()
-            if not text.startswith("["):
-                self.fault, self.rank = "must be a bracketed list", 0
+            if not text:
+                return False
+            if text[0] != "[":
+                self.fault, self.rank = f"field {self.key!r} must be a bracketed list", 0
             self.carry, self.held, text = [], 0, text[1:]
+        if ends_line:
+            text += "\n"
         if self.rank != 0:
             # `carry` holds the pieces not taken yet, `held` characters; they
             # are taken up to the last comma once `_CONVERT_CHUNK` are held,
@@ -161,46 +142,50 @@ class _Entries:
                 body, _, tail = "".join(self.carry).rpartition(",")
                 self._take(body)
                 self.carry, self.held = [tail], len(tail)
-
-    def close(self):
-        """Take the entry before the field's last character, its "]"."""
-        last = "".join(self.carry)[:-1]
-        if self.count or last.strip():
-            self._take(last)
+        if not (ends_line and self.last == "]"):
+            return False
+        if self.rank != 0:
+            tail = "".join(self.carry).rstrip()[:-1]  # the entry before the "]"
+            if self.count or tail.strip():
+                self._take(tail)
+        if self.key == "dims" and self.rank is None:
+            if self.count != 3:
+                self.fault = f"'dims' must have exactly 3 entries, got {self.count}"
+            elif min(self.out) < 1:
+                self.fault = f"'dims' entries must be positive, got {list(self.out)}"
+        return True
 
     def _take(self, body):
         tokens = body.split(",")
         start, self.count = self.count, self.count + len(tokens)
-        if self.rank == 1:
-            return
-        values = None
+        valid = False
         if self.rank is None and body.isascii() and "_" not in body:
             try:
-                values = np.fromiter(map(float, tokens), float, len(tokens))
+                values = np.fromiter(map(self.kind, tokens), self.dtype, len(tokens))
             except ValueError:
                 pass
-        if values is None or not np.isfinite(values).all():
-            values = np.empty(len(tokens))
-            for i, tok in enumerate(tokens):
-                tok = tok.strip()
-                if not tok:
-                    self.fault, self.rank = "has an empty list entry", 1
+            else:
+                valid = self.kind is int or np.isfinite(values).all()
+        if not valid:
+            if "" in map(str.strip, tokens):
+                self.fault, self.rank = f"field {self.key!r} has an empty list entry", 1
+            if self.rank is not None:
+                return
+            values = np.empty(len(tokens), self.dtype)
+            for i, tok in enumerate(map(_joined, tokens)):
+                what = "finite"
+                try:
+                    values[i] = _numeral(self.kind, tok)
+                except ValueError:
+                    values[i], what = np.nan, self.noun
+                if not abs(values[i]) < np.inf:  # true of NaN and ±inf, never of an int
+                    self.fault = f"field {self.key!r} entry {start + i + 1} is not {what}: {tok!r}"
+                    self.rank = 2
                     return
-                if self.rank is None:
-                    what = "finite"
-                    try:
-                        values[i] = _numeral(float, tok)
-                    except ValueError:
-                        values[i], what = np.nan, "a number"
-                    if not np.isfinite(values[i]):
-                        self.fault = f"entry {start + i + 1} is not {what}: {tok!r}"
-                        self.rank = 2
-        if self.rank is not None:
-            return
         if self.parts is not None:
             self.parts.append(values)
-        elif self.out is not None and self.count <= self.out.size:
-            self.out.transpose(2, 0, 1).flat[start : self.count] = values
+        elif self.out is not None and self.count <= len(self.order):
+            self.order[start : self.count] = values
 
     def tensor(self, m, n, p):
         """The (m, n, p) tensor of the entries, once their count is m*n*p."""
@@ -214,9 +199,9 @@ class _Entries:
 
 def _read(fh, source):
     """Parse a tensor file in one pass, line by line as `_segments` cuts it."""
-    starts = {}  # field -> the line it starts on
-    key = dims = dims_fault = entries = None
-    lineno, comment, started, raw, pending = 1, False, False, [], ""
+    starts, entries = {}, {}  # field -> the line it starts on, and its list
+    key = None
+    lineno, comment, raw = 1, False, []
     for text, ends_line in _segments(fh):
         if comment:
             cut = ""
@@ -238,40 +223,17 @@ def _read(fh, source):
                     )
                 if key in starts:
                     raise TensorFormatError(f"{source}:{lineno}: duplicate field {key!r}")
-                starts[key], field = lineno, []
-                if key == "data" and dims_fault is None:
-                    entries = _Entries(dims)
+                starts[key] = lineno
+                entries[key] = _Entries(key, entries.get("dims"))
             elif ends_line and raw:
                 raise TensorFormatError(
                     f"{source}:{lineno}: expected 'key = value', got {''.join(raw).strip()!r}"
                 )
-        if key is not None:
-            # The field's text is its lines, each stripped, joined by one
-            # space; trailing blanks wait in `pending` until text follows.
-            if not started:
-                cut = cut.lstrip()
-            body = cut.rstrip()
-            if body:
-                piece = (pending if started else " ") + body
-                started, pending, closing = True, cut[len(body):], body[-1] == "]"
-                if key == "dims":
-                    field.append(piece)
-                elif entries is not None:
-                    entries.feed(piece)
-            elif started:
-                pending += cut
+        if key is not None and entries[key].feed(cut, ends_line):
+            key = None
         if ends_line:
-            if key is not None and started and closing:
-                if key == "dims":
-                    try:
-                        dims = _dims("".join(field), source, starts["dims"])
-                    except TensorFormatError as exc:
-                        dims_fault = exc
-                elif entries is not None:
-                    entries.close()
-                key = None
             lineno += 1
-            comment, started, raw, pending = False, False, [], ""
+            comment, raw = False, []
     if key is not None:
         raise TensorFormatError(
             f"{source}:{starts[key]}: field {key!r} has an unterminated list"
@@ -279,18 +241,17 @@ def _read(fh, source):
     for required in ("dims", "data"):
         if required not in starts:
             raise TensorFormatError(f"{source}: missing field {required!r}")
-    if dims_fault is not None:
-        raise dims_fault
-    line = starts["data"]
-    if entries.fault is not None:
-        raise TensorFormatError(f"{source}:{line}: field 'data' {entries.fault}")
-    m, n, p = dims
-    if entries.count != m * n * p:
+    for key in ("dims", "data"):
+        if entries[key].fault is not None:
+            raise TensorFormatError(f"{source}:{starts[key]}: {entries[key].fault}")
+    m, n, p = entries["dims"].out
+    data = entries["data"]
+    if data.count != m * n * p:
         raise TensorFormatError(
-            f"{source}:{line}: 'data' has {entries.count} entries, "
+            f"{source}:{starts['data']}: 'data' has {data.count} entries, "
             f"expected m*n*p = {m * n * p}"
         )
-    return entries.tensor(m, n, p)
+    return data.tensor(m, n, p)
 
 
 def read_tensor(path):

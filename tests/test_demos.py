@@ -142,5 +142,7 @@ def test_tensor_files_are_read_in_one_pass():
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             assert node.func.attr != "seek", f"line {node.lineno} seeks"
-            assert not (node.func.attr == "read" and not node.args and not node.keywords), (
-                f"line {node.lineno} reads a file whole")
+            if node.func.attr in ("read", "readline"):
+                bound = [ast.unparse(arg) for arg in node.args + node.keywords]
+                assert bound == ["_READ_CHUNK"], (
+                    f"line {node.lineno} reads without the _READ_CHUNK bound")

@@ -381,7 +381,8 @@ class TestChunkBoundaries:
                                                      "\n", "\r", "\x0b", "\x1c", "\x1f",
                                                      "\x85", "nan", "1e999", "_", "-",
                                                      "7", "dims = [1, 2, 2]",
-                                                     "data = [", "# ]\n"])),
+                                                     "data = [", "# ]\n", "\u3000",
+                                                     "\n\n", "dims = [1, 2"])),
                           max_size=4),
            chunk=st.sampled_from([1, 3, 16, 64, READ_CHUNK]),
            convert=st.sampled_from([1, 5, fileio._CONVERT_CHUNK]))
@@ -459,6 +460,16 @@ class TestNumeralsAndEncoding:
             read_tensor(path)
         assert str(info.value) == f"{path}{message}"
 
+    def test_decoder_reads_ahead_of_the_parser(self, tmp_path):
+        # The decoder runs up to 64 Ki characters ahead of the parser, so a
+        # bad byte within that reach beats a garbage line before it.
+        path = tmp_path / "t.tensor"
+        path.write_bytes(b"bogus\ndims = [1, 1, 1]\ndata = [1.0]\n#"
+                         + b" " * 20_000 + b"\xff\n")
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
     def test_padding_that_strip_removes_reads(self, tmp_path):
         path = tmp_path / "t.tensor"
         path.write_text("dims = [\u00a01, 1, 2\u3000]\n"
@@ -529,6 +540,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("form", [
         "data before dims", "vertical tab breaks", "bad last entry",
+        "unclosed dims", "long dims",
         pytest.param("pipe", marks=pytest.mark.skipif(
             not hasattr(os, "mkfifo"), reason="needs named pipes")),
     ])
@@ -544,6 +556,13 @@ class TestMemory:
         elif form == "bad last entry":
             path.write_text(text[: text.rindex(",")] + ", oops]\n")
             message = f"{path}:2: field 'data' entry {a.size} is not a number: 'oops'"
+        elif form == "unclosed dims":
+            # `dims` runs on through the data line to the end of the file.
+            path.write_text(dims[:-1] + "\n" + data + "\n")
+            message = f"{path}: missing field 'data'"
+        elif form == "long dims":
+            path.write_text("dims = [" + ", ".join(["40"] * 100_000) + "]\n" + data + "\n")
+            message = f"{path}:1: 'dims' must have exactly 3 entries, got 100000"
         else:
             source = tmp_path / "pipe.tensor"
             os.mkfifo(source)

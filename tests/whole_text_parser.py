@@ -3,12 +3,52 @@
 
 `_parse` splits the whole text with ``str.splitlines``, joins each field's
 lines (stripped, comments cut) with one space, and checks the fields in a
-fixed order; every malformed file gets its line diagnostic from it.
+fixed order; every malformed file gets its line diagnostic from it.  It
+shares no code with `tsvdkit.fileio` but the error class, so a fault in the
+reader cannot hide in the reference.
 """
 
 import numpy as np
 
-from tsvdkit.fileio import TensorFormatError, _numeral, _parse_ints, _split_list
+from tsvdkit import TensorFormatError
+
+
+def _numeral(convert, tok):
+    # int() and float() also read Python-only numerals, with digit-group
+    # underscores or non-ASCII digits; the format takes ASCII ones only.
+    if "_" in tok or not tok.isascii():
+        raise ValueError(tok)
+    return convert(tok)
+
+
+def _parse_ints(tokens, source, lineno):
+    out = []
+    for idx, tok in enumerate(tokens):
+        try:
+            out.append(_numeral(int, tok))
+        except ValueError:
+            raise TensorFormatError(
+                f"{source}:{lineno}: field 'dims' entry {idx + 1} is not an "
+                f"integer: {tok!r}"
+            ) from None
+    return out
+
+
+def _split_list(body, key, source, lineno):
+    body = body.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise TensorFormatError(
+            f"{source}:{lineno}: field {key!r} must be a bracketed list"
+        )
+    inner = body[1:-1].strip()
+    if not inner:
+        return []
+    tokens = [tok.strip() for tok in inner.split(",")]
+    if any(not tok for tok in tokens):
+        raise TensorFormatError(
+            f"{source}:{lineno}: field {key!r} has an empty list entry"
+        )
+    return tokens
 
 
 def _parse_floats(tokens, source, lineno):
