@@ -44,7 +44,7 @@ def _array(x, ndim, what, dtype=float):
         raise ValueError(f"expected {kind} entries: {exc}") from None
     if arr.ndim != ndim:
         raise ValueError(f"expected a {_ORDERS[ndim]}{what}, got {arr.ndim} axes")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
     return arr
 
@@ -56,7 +56,7 @@ def as_tensor(a):
     empty axis, or contains non-finite entries.
     """
     arr = _array(a, 3, "tensor")
-    if min(arr.shape) < 1:
+    if not arr.size:
         raise ValueError(f"tensor axes must be positive, got shape {arr.shape}")
     return arr
 
@@ -76,8 +76,10 @@ def _norm2(x, axis=None):
     rounds exactly as the unscaled sum of squares does.
     """
     if axis is None:
-        scale = math.ldexp(1.0, math.frexp(float(np.abs(x).max()))[1] - 1)
-        return scale * np.linalg.norm(x / scale)
+        big = float(np.maximum.reduce(np.abs(x), axis=None))
+        scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+        y = (x / scale).ravel("K")  # what np.linalg.norm runs for real input
+        return scale * math.sqrt(y.dot(y))
     big = np.abs(x).max(axis=axis, keepdims=True)
     scale = np.ldexp(1.0, np.frexp(big)[1] - 1)
     return np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)

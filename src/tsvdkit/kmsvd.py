@@ -7,6 +7,7 @@ tensor that is invariant under T-products with orthogonal tensors, which is
 what makes the derived singular values and ranks well defined.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,16 @@ def _km_diag(a):
     return _from_half(vals, a.shape[2])
 
 
+def _finite(value, what):
+    """`value`, a float, if it is finite; else the spectrum overflowed float64
+    and no answer is given."""
+    if not math.isfinite(value):
+        raise ArithmeticError(
+            f"{what} is {value}: the spectrum overflowed float64; rescale the input"
+        )
+    return value
+
+
 def _f_diagonal(tubes, m, n):
     """The (m, n, p) f-diagonal tensor whose r diagonal tubes are the rows of
     the (r, p) array `tubes`."""
@@ -106,14 +117,17 @@ def singular_values(a, tol=None):
 
     Singular values are the absolute diagonal entries of the mapping's image,
     sorted non-increasing; tube norms are the Euclidean norms of its diagonal
-    tubes.  `tol` defaults to ``eps * max(m, n) * p * sigma_1``.
+    tubes.  `tol` defaults to ``eps * max(m, n) * p * sigma_1``.  A spectrum
+    that overflowed float64 (sigma_1 not finite) raises ArithmeticError.
     """
     a = as_tensor(a)
     diag = _km_diag(a)
     sv = np.sort(np.abs(diag), axis=None)[::-1]
+    # The descending sort puts any inf or NaN first.
+    s1 = _finite(float(sv[0]), "the largest singular value")
     lam = _norm2(diag, axis=1)
     if tol is None:
-        tol = default_rank_threshold(a.shape, float(sv[0]))
+        tol = default_rank_threshold(a.shape, s1)
     else:
         _check_tol(tol)
     return RankReport(
@@ -150,7 +164,8 @@ def truncate_trank(fac, s):
     Ties are broken by slice-then-row position, ascending, so position
     (1, 1, 1) always hosts the top value.  Returns u * s_kept * transpose(v).
     """
-    u, mid, vt = _conformable(fac.u, fac.s, np.swapaxes(fac.v, 0, 1))
+    u, mid = _conformable(fac.u, fac.s)
+    mid, vt = _conformable(mid, np.swapaxes(fac.v, 0, 1))
     r = min(mid.shape[0], mid.shape[1])
     diag = mid[np.arange(r), np.arange(r)]
     # Only the first r columns of u and v meet the diagonal.  The spectrum of
@@ -172,8 +187,11 @@ def best_trank_one(a):
 
 
 def sigma1(a):
-    """Largest singular value; equals the mapping's (1, 1, 1) entry."""
-    return float(_km_diag(as_tensor(a))[0, 0])
+    """Largest singular value; equals the mapping's (1, 1, 1) entry.
+
+    ArithmeticError if it is not finite: the spectrum overflowed float64.
+    """
+    return _finite(float(_km_diag(as_tensor(a))[0, 0]), "the largest singular value")
 
 
 def sigma1_upper_bound_check(a):
@@ -189,14 +207,22 @@ def km_equal(a, b, tol=1e-8):
     Uses a relative gate,
     ``||S(a) - S(b)||_F <= tol * max(||S(a)||_F, ||S(b)||_F)``, so the answer
     does not depend on the scale of the inputs and two zero tensors are equal.
+    An image whose norm is not finite raises ArithmeticError.
     """
     _check_tol(tol)
     a = as_tensor(a)
     b = as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # The images' off-diagonal entries are zero, so their diagonal tubes
-    # carry every term of the three norms.
-    da = _km_diag(a)
-    db = _km_diag(b)
-    return bool(_norm2(da - db) <= tol * max(_norm2(da), _norm2(db)))
+    return _images_equal(_km_diag(a), _km_diag(b), tol)
+
+
+def _images_equal(da, db, tol):
+    """`km_equal`'s gate on two images given by their (r, p) diagonal tubes.
+
+    The images' off-diagonal entries are zero, so these tubes carry every
+    term of the three norms.
+    """
+    na = _finite(_norm2(da), "the norm of the first image")
+    nb = _finite(_norm2(db), "the norm of the second image")
+    return bool(_norm2(da - db) <= tol * max(na, nb))

@@ -111,7 +111,7 @@ def _oriented_q(mat):
     C-contiguous complex stack (used in place) is copied first.
     """
     q, r = _kernels().qr(np.ascontiguousarray(mat, dtype=complex))
-    negative = np.diagonal(r, axis1=-2, axis2=-1).real < 0
+    negative = r.diagonal(0, -2, -1).real < 0
     return np.negative(q, out=q, where=negative[..., None, :])
 
 
@@ -199,7 +199,6 @@ _Kernels = namedtuple("_Kernels", "rfft irfft svd qr")
 _PUBLIC = _Kernels(lambda a: np.fft.rfft(a), lambda x, p: np.fft.irfft(x, p),
                    lambda d, uv: np.linalg.svd(d, compute_uv=uv), lambda a: np.linalg.qr(a))
 
-_TUBES = [(-1,), (), (-1,)]  # gufunc axes: input tubes, scalar factor, output tubes
 _pocketfft_umath = None  # numpy.fft's gufunc module, imported by the probe
 
 
@@ -207,12 +206,12 @@ def _rfft_direct(a):
     p = a.shape[-1]
     rfft = _pocketfft_umath.rfft_n_even if p % 2 == 0 else _pocketfft_umath.rfft_n_odd
     out = np.empty_like(a, shape=a.shape[:-1] + (p // 2 + 1,), dtype=complex)
-    return rfft(a, 1.0, axes=_TUBES, out=out)
+    return rfft(a, 1.0, out=out)
 
 
 def _irfft_direct(x, p):
     out = np.empty_like(x, shape=x.shape[:-1] + (p,), dtype=float)
-    return _pocketfft_umath.irfft(x, 1 / p, axes=_TUBES, out=out)
+    return _pocketfft_umath.irfft(x, 1 / p, out=out)
 
 
 def _lapack_errors(message):

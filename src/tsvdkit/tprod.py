@@ -1,7 +1,5 @@
 """The T-product and its derived algebra: multiply, invert, orthogonality."""
 
-from itertools import pairwise
-
 import numpy as np
 
 from .core import (
@@ -38,22 +36,20 @@ class SingularSliceError(ArithmeticError):
         )
 
 
-def _conformable(*tensors):
-    """The arguments as tensors, each validated once, after checking that
-    every neighbouring pair's T-product is defined."""
-    tensors = list(map(as_tensor, tensors))
-    for a, b in pairwise(tensors):
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(
-                f"t-product inner dimensions differ: left lateral axis (axis 1) "
-                f"has size {a.shape[1]}, right horizontal axis (axis 0) has size "
-                f"{b.shape[0]}"
-            )
-        if a.shape[2] != b.shape[2]:
-            raise ValueError(
-                f"t-product tube lengths differ (axis 2): {a.shape[2]} vs {b.shape[2]}"
-            )
-    return tensors
+def _conformable(a, b):
+    """Both arguments as tensors, after checking that their T-product is defined."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"t-product inner dimensions differ: left lateral axis (axis 1) "
+            f"has size {a.shape[1]}, right horizontal axis (axis 0) has size "
+            f"{b.shape[0]}"
+        )
+    if a.shape[2] != b.shape[2]:
+        raise ValueError(
+            f"t-product tube lengths differ (axis 2): {a.shape[2]} vs {b.shape[2]}"
+        )
+    return a, b
 
 
 def tprod(a, b):

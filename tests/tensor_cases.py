@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from tsvdkit import identity_tensor
+
 
 def same_bits(a, b):
     """Equal dtype, shape and bytes: equal values, signs of zeros included."""
@@ -34,3 +36,12 @@ def fdiagonal_fixture_image():
     s[0, 0, 1] = 3.0
     s[0, 0, 2] = 3.0
     return s
+
+
+def overflowing_tensors():
+    """Finite tensors near the top of float64 whose spectrum overflows: a
+    Gaussian 4x3x5 and a well-conditioned 4x4x5, both drawn with seed 1 and
+    scaled by 2**1020."""
+    gaussian = np.random.default_rng(1).standard_normal((4, 3, 5))
+    shifted = np.random.default_rng(1).standard_normal((4, 4, 5)) + 3 * identity_tensor(4, 5)
+    return [2.0**1020 * gaussian, 2.0**1020 * shifted]

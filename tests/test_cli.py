@@ -9,7 +9,7 @@ from tsvdkit import frobenius_norm, read_tensor, tprod, transpose, write_tensor
 from tsvdkit import cli, kmsvd
 from tsvdkit.cli import main
 
-from tensor_cases import fdiagonal_fixture, fdiagonal_fixture_image
+from tensor_cases import fdiagonal_fixture, fdiagonal_fixture_image, overflowing_tensors
 
 
 def run_cli(argv, capsys):
@@ -275,6 +275,26 @@ class TestVerifyCommand:
             assert frobenius_norm(partner) == pytest.approx(norm_a, rel=1e-12)
             np.testing.assert_allclose(total - partner, a, rtol=0, atol=1e-14 * c)
 
+    def test_image_of_the_input_is_taken_once(self, monkeypatch):
+        a = np.random.default_rng(3).standard_normal((4, 3, 4))
+        calls = []
+        true_km_diag = kmsvd._km_diag
+
+        def counting_km_diag(x):
+            calls.append(x.shape)
+            return true_km_diag(x)
+
+        monkeypatch.setattr(kmsvd, "_km_diag", counting_km_diag)
+        monkeypatch.setattr(cli, "_km_diag", counting_km_diag)
+        trials = 6
+        # The calls made by the time each check reports.
+        made = {}
+        for name, _, passed in cli._verify_checks(a, 5, trials):
+            assert passed
+            made[name] = len(calls)
+        # S(a) once, then S(b) per trial.
+        assert made["orthogonal_invariance"] - made["sigma1_bound"] == trials + 1
+
     def test_deterministic_output(self, fixture_file, capsys):
         code1, out1, _ = run_cli(["verify", fixture_file, "--seed", "9"], capsys)
         code2, out2, _ = run_cli(["verify", fixture_file, "--seed", "9"], capsys)
@@ -302,6 +322,16 @@ class TestTprodCommand:
         code, _, err = run_cli(["tprod", str(pa), str(pb), "--out", "x"], capsys)
         assert code == 2
         assert "inner dimensions" in err
+
+
+def test_overflowed_spectrum_exits_numerical(tmp_path, capsys):
+    path = tmp_path / "big.tensor"
+    write_tensor(path, overflowing_tensors()[1])
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(["rank", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("tsvdkit: numerical failure: the largest singular value is inf")
 
 
 def test_lapack_failure_exits_numerical(fixture_file, capsys, svd_fails):

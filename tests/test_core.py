@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsvdkit
+from tsvdkit import core
 from tsvdkit import (
     as_tensor,
     bcirc,
@@ -47,6 +48,25 @@ class TestFrobeniusNorm:
                 for k in range(5):
                     total += a[i, j, k] ** 2
         assert frobenius_norm(a) == pytest.approx(np.sqrt(total), rel=1e-13)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided"])
+    def test_norm_is_numpys_bit_for_bit(self, layout):
+        # The scaled sum is summed in memory order, as np.linalg.norm sums it.
+        for seed in range(20):
+            x = _random_for((6, 5, 7), seed)
+            x = {"C": x, "F": np.asfortranarray(x), "transposed": x.transpose(2, 0, 1),
+                 "strided": x[::-2, 1:, ::3]}[layout]
+            assert core._norm2(x) == np.linalg.norm(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dims=small_dims, seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900),
+           fortran=st.booleans())
+    def test_norm_scales_exactly(self, dims, seed, k, fortran):
+        x = _random_for(dims, seed)
+        if fortran:
+            x = np.asfortranarray(x)
+        c = 2.0**k
+        assert core._norm2(c * x) == c * core._norm2(x)
 
 
 class TestBcirc:

@@ -586,3 +586,23 @@ class TestMemory:
         else:
             assert outcome == [message]
         assert read_peak <= path.stat().st_size + a.nbytes
+
+    @pytest.mark.parametrize("entries", [100_000, 400_000])
+    def test_a_batch_is_at_most_one_piece(self, tmp_path, entries):
+        # A batch converts all the held text up to its last comma: one read
+        # piece plus the carried tail, some 20,000 short entries (1.4 MiB
+        # with their strings), however long the list.  Converting the whole
+        # list at once would peak at 7.4 MiB for the 0.38 MiB file.
+        path = tmp_path / "long.tensor"
+        path.write_text("dims = [" + ", ".join(["40"] * entries) + "]\ndata = [1]\n")
+        outcome = []
+
+        def read():
+            try:
+                read_tensor(path)
+            except TensorFormatError as exc:
+                outcome.append(str(exc))
+
+        read_peak = traced_peak(read)
+        assert outcome == [f"{path}:1: 'dims' must have exactly 3 entries, got {entries}"]
+        assert read_peak <= 32 * fileio._READ_CHUNK

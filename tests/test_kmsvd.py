@@ -26,7 +26,8 @@ from tsvdkit import (
 )
 from tsvdkit import kmsvd
 
-from tensor_cases import fdiagonal_fixture, fdiagonal_fixture_image, random_tensor
+from tensor_cases import (fdiagonal_fixture, fdiagonal_fixture_image, overflowing_tensors,
+                          random_tensor)
 
 
 def reconstruct(fac):
@@ -432,6 +433,27 @@ class TestKmEqual:
 
     def test_zero_tensors_equal(self):
         assert km_equal(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), tol=1e-15)
+
+
+class TestOverflowedSpectrum:
+    """No answer comes from a spectrum that overflowed float64."""
+
+    @pytest.mark.parametrize("call", [
+        singular_values, sigma1, lambda a: km_equal(a, a),
+    ], ids=["singular_values", "sigma1", "km_equal"])
+    def test_raises(self, call):
+        for a in overflowing_tensors():
+            with np.errstate(over="ignore"), pytest.raises(ArithmeticError,
+                                                           match="overflowed float64"):
+                call(a)
+
+    def test_answers_just_below(self):
+        for a in overflowing_tensors():
+            a = a / 4
+            ref = singular_values(a / 2.0**1018)
+            assert singular_values(a).t_rank == ref.t_rank
+            assert sigma1(a) == pytest.approx(2.0**1018 * sigma1(a / 2.0**1018), rel=1e-12)
+            assert km_equal(a, a)
 
 
 class TestTubalRankFactorization:
