@@ -140,10 +140,11 @@ def cmd_tprod(args):
     a = read_tensor(args.left)
     b = read_tensor(args.right)
     product = tprod(a, b)
+    norm = frobenius_norm(product)  # before writing: an overflow leaves no file
     write_tensor(args.out, product)
     _print_kv("out", args.out)
     _print_kv("dims", list(product.shape))
-    _print_kv("norm", _fmt(frobenius_norm(product)))
+    _print_kv("norm", _fmt(norm))
     return EXIT_OK
 
 

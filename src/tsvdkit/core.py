@@ -86,8 +86,14 @@ def _norm2(x, axis=None):
 
 
 def frobenius_norm(a):
-    """Square root of the sum of squared entries, safe across the float64 range."""
-    return float(_norm2(as_tensor(a)))
+    """Square root of the sum of squared entries, safe across the float64 range.
+
+    A norm too large for float64 raises ArithmeticError rather than return inf.
+    """
+    norm = float(_norm2(as_tensor(a)))
+    if norm == math.inf:
+        raise ArithmeticError("the Frobenius norm overflows float64; rescale the input")
+    return norm
 
 
 def unfold(a):

@@ -6,9 +6,11 @@ symmetric along the third axis: slice p - k is the conjugate of slice k and
 slice 0 (plus slice p/2 for even p) is real.  Only the first p // 2 + 1
 slices are independent, so per-slice work runs on that half, held as a
 slice-major (p // 2 + 1, m, n) stack, and one ``irfft`` of length p turns
-the result back into a real tensor.  Every op except ``tsvd`` takes the half
-straight from ``rfft`` (``_rhalf``); ``tsvd`` slices it out of the full
-``dft_mode3`` spectrum (``_half``) and factors it one ``complex_svd`` per slice.
+the result back into a real tensor.  Every op except ``tsvd`` that takes the
+transform takes the half straight from ``rfft`` (``_rhalf``); ``tsvd`` slices
+it out of the full ``dft_mode3`` spectrum (``_half``) and factors it one
+``complex_svd`` per slice.  ``tprod`` takes the transform only for products
+too large for its block-circulant matmul.
 
 The route's FFTs, SVDs and QRs (``_kernels``) call numpy's pocketfft and
 LAPACK gufuncs directly, skipping the wrappers' per-call overhead, once a probe

@@ -52,10 +52,45 @@ def _conformable(a, b):
     return a, b
 
 
+# Products of at most this many multiply-adds (m * n * q * p**2) run as one
+# real matmul against a block circulant; larger ones go through the transform.
+_SPATIAL_MAX_WORK = 2**15
+
+
+def _circulant(b):
+    """The (n*p, q*p) block circulant of an (n, q, p) tensor, with entry
+    ((j, l), (s, k)) equal to b[j, s, (k - l) mod p]."""
+    n, q, p = b.shape
+    # In b's tubes written out twice, (k - l) mod p is p + k - l: a view
+    # that steps back one entry per l and forward one per k reads every
+    # block without an index array, and the reshape copies it out.  The
+    # view needs one contiguous buffer, whatever b's layout.
+    twice = np.ascontiguousarray(np.concatenate((b, b), axis=2))
+    sj, ss, sk = twice.strides
+    view = np.ndarray((n, p, q, p), float, twice, p * sk, (sj, -sk, ss, sk))
+    return view.reshape(n * p, q * p)
+
+
 def tprod(a, b):
-    """T-product via the transform path: DFT, slicewise product, inverse DFT."""
+    """T-product of an (m, n, p) and an (n, q, p) tensor: the (m, q, p) tensor
+    whose frontal slice k is the sum over l of a_l @ b_{(k - l) mod p}.
+
+    Small products, m * n * q * p**2 <= 2**15 multiply-adds, are computed as
+    that sum: one real matmul of `a` as an (m, n*p) matrix, entry (i, (j, l))
+    being a[i, j, l], with the (n*p, q*p) block circulant of `b`.  Larger
+    products take the transform route: DFT along tubes, one complex product
+    per independent slice of the half spectrum, inverse DFT.  The matmul does
+    about p/2 times the transform route's real arithmetic but skips its fixed
+    cost of three FFTs and their glue, which dominates small products (a
+    5x5x4 product takes under half the time).  The bound stays far below
+    where the extra arithmetic wins out: the product of two 32x32x32 tensors
+    is about 4 times slower as one matmul.  Both routes agree to rounding.
+    """
     a, b = _conformable(a, b)
-    return _from_half(_rhalf(a) @ _rhalf(b), a.shape[2])
+    (m, n, p), q = a.shape, b.shape[1]
+    if m * n * q * p * p > _SPATIAL_MAX_WORK:
+        return _from_half(_rhalf(a) @ _rhalf(b), p)
+    return (a.reshape(m, n * p) @ _circulant(b)).reshape(m, q, p)
 
 
 def tprod_direct(a, b):

@@ -1,9 +1,13 @@
+import importlib
+import math
 import types
 
 import numpy as np
 import pytest
 
 from tsvdkit import spectral
+
+tprod_module = importlib.import_module("tsvdkit.tprod")  # the package rebinds `tprod`
 
 
 @pytest.fixture
@@ -24,6 +28,14 @@ def use_route(monkeypatch):
 def kernel_route(request, use_route):
     """Run the test once on each kernel route."""
     use_route(request.param)
+
+
+@pytest.fixture(params=["spatial", "transform"])
+def tprod_route(request, monkeypatch):
+    """Run the test once with every T-product on each route: "spatial" (one
+    matmul against a block circulant) or "transform" (the half spectrum)."""
+    limit = {"spatial": math.inf, "transform": -1}[request.param]
+    monkeypatch.setattr(tprod_module, "_SPATIAL_MAX_WORK", limit)
 
 
 @pytest.fixture

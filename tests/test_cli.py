@@ -315,6 +315,17 @@ class TestTprodCommand:
         assert np.array_equal(read_tensor(out_path), tprod(a, b))
         assert parse_report(out)["dims"] == "[3, 5, 4]"
 
+    def test_overflowing_norm_exits_numerical(self, tmp_path, capsys):
+        pa, pb = tmp_path / "a.tensor", tmp_path / "b.tensor"
+        write_tensor(pa, np.full((2, 1, 1), 1.5e308))
+        write_tensor(pb, np.ones((1, 1, 1)))
+        out_path = tmp_path / "ab.tensor"
+        code, out, err = run_cli(["tprod", str(pa), str(pb), "--out", str(out_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("tsvdkit: numerical failure: the Frobenius norm overflows")
+        assert not out_path.exists()
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.tensor", tmp_path / "b.tensor"
         write_tensor(pa, np.zeros((3, 2, 4)))

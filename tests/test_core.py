@@ -58,6 +58,12 @@ class TestFrobeniusNorm:
                  "strided": x[::-2, 1:, ::3]}[layout]
             assert core._norm2(x) == np.linalg.norm(x)
 
+    def test_overflowing_norm_raises(self):
+        with pytest.raises(ArithmeticError, match="overflows float64"):
+            frobenius_norm(np.full((2, 2, 2), 1e308))
+        # sqrt(8) * 6e307 is just below the largest float64
+        assert frobenius_norm(np.full((2, 2, 2), 6e307)) == pytest.approx(6e307 * 8**0.5)
+
     @settings(max_examples=200, deadline=None)
     @given(dims=small_dims, seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900),
            fortran=st.booleans())

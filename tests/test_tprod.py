@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 import subprocess
@@ -37,7 +38,9 @@ from tsvdkit import (
 )
 from tsvdkit.spectral import _from_half, _oriented_q
 
-from tensor_cases import random_tensor, same_bits
+from tensor_cases import overflowing_tensors, random_tensor, same_bits
+
+tprod_module = importlib.import_module("tsvdkit.tprod")  # the package rebinds `tprod`
 
 
 def per_slice_draws(n, p, seed):
@@ -73,7 +76,7 @@ class TestTprod:
         expected = fold(bcirc(a) @ unfold(b), 4)
         np.testing.assert_allclose(tprod(a, b), expected, atol=1e-12)
 
-    def test_matches_direct_product_on_random_shapes(self, rng):
+    def test_matches_direct_product_on_random_shapes(self, rng, tprod_route):
         for _ in range(100):
             m, n, q, p = (int(x) for x in rng.integers(1, 7, size=4))
             a = rng.standard_normal((m, n, p))
@@ -88,6 +91,53 @@ class TestTprod:
     def test_tube_mismatch(self, rng):
         with pytest.raises(ValueError, match="tube lengths.*axis 2"):
             tprod(rng.standard_normal((3, 2, 4)), rng.standard_normal((2, 5, 3)))
+
+
+class TestTprodRoute:
+    """Which route `tprod` takes, seen by counting forward transforms."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """A list that gets one entry per forward transform `tprod` runs."""
+        calls, rhalf = [], tprod_module._rhalf
+        monkeypatch.setattr(tprod_module, "_rhalf", lambda x: calls.append(1) or rhalf(x))
+        return calls
+
+    def spatial(self, transforms, a, b):
+        """tprod(a, b), after checking that it ran no transform and matches
+        the block circulant product."""
+        transforms.clear()
+        got = tprod(a, b)
+        assert not transforms, (a.shape, b.shape)
+        want = tprod_direct(a, b)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        return got
+
+    def test_acceptance_range_is_spatial(self, rng, transforms):
+        for m, n, q, p in itertools.product((1, 3, 8), (1, 5, 8), (1, 2, 8), range(1, 7)):
+            self.spatial(transforms, rng.standard_normal((m, n, p)),
+                         rng.standard_normal((n, q, p)))
+
+    def test_layouts_and_chained_products(self, rng, transforms):
+        a = np.asfortranarray(rng.standard_normal((4, 6, 5)))
+        b = rng.standard_normal((12, 7, 10))[::2, 1:4, ::2]  # strided view, (6, 3, 5)
+        ab = self.spatial(transforms, a, b)
+        abc = self.spatial(transforms, ab, ab.transpose(1, 0, 2))
+        self.spatial(transforms, abc[::-1], np.asfortranarray(abc))
+        for x in (a, b, ab, abc):
+            self.spatial(transforms, x, x.transpose(1, 0, 2))
+
+    def test_benchmark_cli_products_take_the_transform(self, rng, transforms):
+        for left, right in [((32, 32, 32), (32, 32, 32)), ((128, 8, 8), (8, 128, 8))]:
+            transforms.clear()
+            tprod(rng.standard_normal(left), rng.standard_normal(right))
+            assert len(transforms) == 2
+
+    def test_identity_is_exact_at_the_top_of_float64(self, transforms):
+        # The transform route's sum over the tube overflows here; the spatial
+        # route multiplies by the identity's ones and zeros only.
+        a = overflowing_tensors()[1]
+        assert same_bits(self.spatial(transforms, a, identity_tensor(4, 5)), a)
 
 
 class TestTprodDirect:
@@ -281,7 +331,8 @@ class TestQrRoute:
     def test_route_is_selected_on_the_first_draw(self):
         # In a fresh process: the import loads no numpy.fft and runs no probe,
         # the first op of any kind runs the probe once, and a second op runs
-        # none.  Each pair starts on a different kernel.
+        # none.  Each pair starts on a different kernel; the first pair's
+        # product is large enough to take the transform route.
         script = textwrap.dedent("""
             import sys
             import numpy as np
@@ -297,7 +348,8 @@ class TestQrRoute:
             print(spectral._route is spectral._DIRECT)
         """)
         pairs = [
-            "lambda: tsvdkit.tprod(a, a), lambda: tsvdkit.km_mapping(a)",
+            "lambda: tsvdkit.tprod(np.ones((9, 9, 8)), np.ones((9, 9, 8))), "
+            "lambda: tsvdkit.km_mapping(a)",
             "lambda: tsvdkit.random_orthogonal(3, 4, 0), lambda: tsvdkit.tprod(a, a)",
             "lambda: tsvdkit.complex_svd(a[:, :, 0]), lambda: tsvdkit.best_trank_one(a)",
             "lambda: tsvdkit.tsvd(a), lambda: tsvdkit.random_orthogonal(3, 4, 0)",
@@ -402,7 +454,7 @@ class TestTinverse:
 
 
 class TestAlgebraProperties:
-    def test_associativity(self, rng):
+    def test_associativity(self, rng, tprod_route):
         for _ in range(10):
             p = int(rng.integers(1, 6))
             a = rng.standard_normal((int(rng.integers(1, 7)), 3, p))
@@ -412,7 +464,7 @@ class TestAlgebraProperties:
             right = tprod(a, tprod(b, c))
             assert frobenius_norm(left - right) <= 1e-9 * max(frobenius_norm(left), 1.0)
 
-    def test_reversal_law(self, rng):
+    def test_reversal_law(self, rng, tprod_route):
         for _ in range(10):
             p = int(rng.integers(1, 6))
             a = rng.standard_normal((4, 3, p))
@@ -421,7 +473,7 @@ class TestAlgebraProperties:
             rhs = tprod(transpose(b), transpose(a))
             assert frobenius_norm(lhs - rhs) <= 1e-10 * max(frobenius_norm(lhs), 1.0)
 
-    def test_orthogonal_norm_invariance(self, rng):
+    def test_orthogonal_norm_invariance(self, rng, tprod_route):
         for seed in range(10):
             a = random_tensor(rng, max_m=6, max_n=6, max_p=5)
             q = random_orthogonal(a.shape[0], a.shape[2], seed)
