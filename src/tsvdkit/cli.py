@@ -1,11 +1,18 @@
 """Command-line front-end: ``tsvdkit <tsvd|rank|approx|verify|tprod>``.
 
+Each ``cmd_*`` subcommand only computes.  It returns the tensors to write,
+keyed by path, the report as ``(key, value)`` pairs, and the exit code;
+``_run`` alone writes the files and prints the report, after the subcommand
+has returned.  A run that fails therefore writes no file and prints no report.
+
 Reports are printed one ``key = value`` pair per line with 17 significant
 digits.  Exit codes: 0 success, 2 usage or file-format violation, 3 numerical
-failure (including failed verification properties).
+failure (including failed verification properties and outputs that overflow
+float64).
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -34,13 +41,24 @@ def _fmt_list(values):
     return "[" + ", ".join(_fmt(x) for x in values) + "]"
 
 
-def _print_kv(key, value):
-    print(f"{key} = {value}")
-
-
 def _default_prefix(path):
     stem, ext = os.path.splitext(path)
     return stem if ext else path
+
+
+def _finite_outputs(outputs):
+    """`outputs`, a {path: tensor} dict, once every entry is finite.
+
+    An entry beyond the float64 range could be neither reported on nor read
+    back, so the run fails with ArithmeticError before it writes anything.
+    """
+    for path, tensor in outputs.items():
+        if not np.isfinite(tensor).all():
+            raise ArithmeticError(
+                f"{path} would hold entries that are not finite: the result "
+                "overflowed float64; rescale the input"
+            )
+    return outputs
 
 
 def _residual(a, fac):
@@ -52,40 +70,44 @@ def cmd_tsvd(args):
     a = read_tensor(args.input)
     fac = tsvd(a)
     prefix = args.out if args.out is not None else _default_prefix(args.input)
-    for suffix, tensor in ((".u", fac.u), (".s", fac.s), (".v", fac.v)):
-        write_tensor(prefix + suffix, tensor)
+    outputs = _finite_outputs({prefix + ".u": fac.u, prefix + ".s": fac.s, prefix + ".v": fac.v})
     norm_a = frobenius_norm(a)
     residual = _residual(a, fac)
-    _print_kv("input", args.input)
-    _print_kv("dims", list(a.shape))
-    _print_kv("u", prefix + ".u")
-    _print_kv("s", prefix + ".s")
-    _print_kv("v", prefix + ".v")
-    _print_kv("relative_residual", _fmt(residual / norm_a if norm_a else 0.0))
-    return EXIT_OK
+    report = [
+        ("input", args.input),
+        ("dims", list(a.shape)),
+        ("u", prefix + ".u"),
+        ("s", prefix + ".s"),
+        ("v", prefix + ".v"),
+        ("relative_residual", _fmt(residual / norm_a if norm_a else 0.0)),
+    ]
+    return outputs, report, EXIT_OK
 
 
 def cmd_rank(args):
     a = read_tensor(args.input)
     report = singular_values(a, tol=args.tol)
-    _print_kv("sigma", _fmt_list(report.singular_values))
-    _print_kv("lambda", _fmt_list(report.t_singular_values))
-    _print_kv("t_rank", report.t_rank)
-    _print_kv("tubal_rank", report.tubal_rank)
-    _print_kv("tol", _fmt(report.threshold))
-    return EXIT_OK
+    return {}, [
+        ("sigma", _fmt_list(report.singular_values)),
+        ("lambda", _fmt_list(report.t_singular_values)),
+        ("t_rank", report.t_rank),
+        ("tubal_rank", report.tubal_rank),
+        ("tol", _fmt(report.threshold)),
+    ], EXIT_OK
 
 
 def cmd_approx(args):
     a = read_tensor(args.input)
     approx = truncate_trank(tsvd(a), args.rank)
-    write_tensor(args.out, approx)
-    _print_kv("input", args.input)
-    _print_kv("out", args.out)
-    _print_kv("rank", args.rank)
-    _print_kv("mode", args.mode)
-    _print_kv("residual", _fmt(frobenius_norm(a - approx)))
-    return EXIT_OK
+    outputs = _finite_outputs({args.out: approx})
+    report = [
+        ("input", args.input),
+        ("out", args.out),
+        ("rank", args.rank),
+        ("mode", args.mode),
+        ("residual", _fmt(frobenius_norm(a - approx))),
+    ]
+    return outputs, report, EXIT_OK
 
 
 def _verify_checks(a, seed, trials):
@@ -125,27 +147,51 @@ def cmd_verify(args):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
     a = read_tensor(args.input)
-    _print_kv("input", args.input)
-    _print_kv("seed", args.seed)
-    _print_kv("trials", args.trials)
+    report = [("input", args.input), ("seed", args.seed), ("trials", args.trials)]
     failed = 0
     for name, tol, passed in _verify_checks(a, args.seed, args.trials):
-        _print_kv(f"{name}_tol", _fmt(tol))
-        _print_kv(name, "pass" if passed else "fail")
+        report += [(f"{name}_tol", _fmt(tol)), (name, "pass" if passed else "fail")]
         failed += not passed
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    return {}, report, EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def cmd_tprod(args):
     a = read_tensor(args.left)
     b = read_tensor(args.right)
     product = tprod(a, b)
-    norm = frobenius_norm(product)  # before writing: an overflow leaves no file
-    write_tensor(args.out, product)
-    _print_kv("out", args.out)
-    _print_kv("dims", list(product.shape))
-    _print_kv("norm", _fmt(norm))
-    return EXIT_OK
+    outputs = _finite_outputs({args.out: product})
+    report = [
+        ("out", args.out),
+        ("dims", list(product.shape)),
+        ("norm", _fmt(frobenius_norm(product))),
+    ]
+    return outputs, report, EXIT_OK
+
+
+def _run(args):
+    """Run the subcommand `args.func`, write its outputs, print its report.
+
+    Each output is written to a temporary file beside its target, and the
+    targets are replaced only once every write has succeeded; so a run that
+    fails, in the subcommand or in a write, leaves every target as it was and
+    prints no report.
+    """
+    outputs, report, code = args.func(args)
+    temps = {}
+    try:
+        for path, tensor in outputs.items():
+            target = os.path.realpath(path)  # a symlink is written through, as open() does
+            temps[target] = temp = f"{target}.{os.getpid()}.tmp"
+            write_tensor(temp, tensor)
+        for target, temp in temps.items():
+            os.replace(temp, target)
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+    for key, value in report:
+        print(f"{key} = {value}")
+    return code
 
 
 def _build_parser():
@@ -195,7 +241,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (OSError, ValueError) as exc:
         print(f"tsvdkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -72,6 +72,15 @@ def _finite(value, what):
     return value
 
 
+def _finite_tubes(tubes):
+    """The diagonal tubes `tubes` of an image, if every entry is finite.
+
+    The largest magnitude is sigma_1, which bounds every entry of the image.
+    """
+    _finite(float(np.abs(tubes).max()), "the largest singular value")
+    return tubes
+
+
 def _f_diagonal(tubes, m, n):
     """The (m, n, p) f-diagonal tensor whose r diagonal tubes are the rows of
     the (r, p) array `tubes`."""
@@ -82,9 +91,12 @@ def _f_diagonal(tubes, m, n):
 
 
 def km_mapping(a):
-    """Real f-diagonal image of `a`: inverse DFT of the slicewise singular values."""
+    """Real f-diagonal image of `a`: inverse DFT of the slicewise singular values.
+
+    ArithmeticError if an entry is not finite: the spectrum overflowed float64.
+    """
     a = as_tensor(a)
-    return _f_diagonal(_km_diag(a), a.shape[0], a.shape[1])
+    return _f_diagonal(_finite_tubes(_km_diag(a)), a.shape[0], a.shape[1])
 
 
 def tsvd(a):
@@ -93,12 +105,13 @@ def tsvd(a):
     The middle factor equals ``km_mapping(a)`` up to rounding, not bit for
     bit: here each slice of ``dft_mode3(a)`` is factored on its own, the
     self-paired ones by LAPACK's real driver, while the mapping factors the
-    ``rfft`` slices in one batched complex call.
+    ``rfft`` slices in one batched complex call.  ArithmeticError if an
+    entry of the middle factor is not finite: the spectrum overflowed float64.
     """
     a = as_tensor(a)
     m, n, p = a.shape
     factors = [complex_svd(d) for d in _half(dft_mode3(a))]
-    tubes = _from_half(np.array([f.sigma for f in factors]), p)
+    tubes = _finite_tubes(_from_half(np.array([f.sigma for f in factors]), p))
     return TSvd(
         u=_from_half(np.stack([f.u for f in factors]), p),
         s=_f_diagonal(tubes, m, n),
@@ -179,11 +192,12 @@ def best_trank_one(a):
 
     Equals ``truncate_trank(tsvd(a), 1)`` without the phase convention: a kept
     term ``u_k[:, i] c v_k[:, i]^H`` is unchanged when both vectors share a phase.
+    ArithmeticError if the spectrum overflowed float64.
     """
     a = as_tensor(a)
     u, sigma, vh = _svd(_rhalf(a))
     p = a.shape[2]
-    return _truncated(u, vh, _from_half(sigma, p), 1, p)
+    return _truncated(u, vh, _finite_tubes(_from_half(sigma, p)), 1, p)
 
 
 def sigma1(a):

@@ -173,7 +173,7 @@ def test_criterion_7_sigma1_subadditive():
     report(7, ok, f"worst subadditivity excess {worst:.2e}")
 
 
-def test_criterion_8_transform_path_matches_block_circulant():
+def test_criterion_8_transform_path_matches_block_circulant(tprod_route):
     rng = np.random.default_rng(8)
     worst = 0.0
     for trial in range(200):

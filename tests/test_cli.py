@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -46,6 +47,7 @@ class TestTsvdCommand:
         prefix = str(tmp_path / "out")
         code, out, _ = run_cli(["tsvd", fixture_file, "--out", prefix], capsys)
         assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["fixture.tensor", "out.s", "out.u", "out.v"]
         report = parse_report(out)
         s = read_tensor(prefix + ".s")
         np.testing.assert_allclose(s, fdiagonal_fixture_image(), atol=1e-9)
@@ -326,6 +328,16 @@ class TestTprodCommand:
         assert err.startswith("tsvdkit: numerical failure: the Frobenius norm overflows")
         assert not out_path.exists()
 
+    def test_symlinked_target_is_written_through(self, tmp_path, capsys):
+        pa, ones = tmp_path / "a.tensor", np.ones((2, 2, 3))
+        write_tensor(pa, ones)
+        (tmp_path / "link.tensor").symlink_to(tmp_path / "real.tensor")
+        argv = ["tprod", str(pa), str(pa), "--out", str(tmp_path / "link.tensor")]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert (tmp_path / "link.tensor").is_symlink()
+        assert np.array_equal(read_tensor(tmp_path / "real.tensor"), tprod(ones, ones))
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.tensor", tmp_path / "b.tensor"
         write_tensor(pa, np.zeros((3, 2, 4)))
@@ -343,6 +355,51 @@ def test_overflowed_spectrum_exits_numerical(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("tsvdkit: numerical failure: the largest singular value is inf")
+
+
+@pytest.mark.parametrize("command", ["tsvd", "approx", "tprod", "verify"])
+def test_overflowing_run_writes_and_prints_nothing(tmp_path, capsys, command):
+    big, two, spectrum = (str(tmp_path / f"{name}.tensor") for name in ("big", "two", "spectrum"))
+    write_tensor(big, np.full((2, 1, 1), 1.5e308))  # sigma_1 = 2.1e308 overflows
+    write_tensor(two, np.full((1, 1, 1), 2.0))
+    write_tensor(spectrum, overflowing_tensors()[1])
+    target = str(tmp_path / "out.tensor")
+    argv = {
+        "tsvd": ["tsvd", big, "--out", str(tmp_path / "fac")],
+        "approx": ["approx", big, "--rank", "1", "--out", target],
+        "tprod": ["tprod", big, two, "--out", target],
+        "verify": ["verify", spectrum],
+    }[command]
+    before = sorted(os.listdir(tmp_path))
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("tsvdkit: numerical failure: ")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_failed_write_leaves_every_target_as_it_was(tmp_path, fixture_file, capsys, monkeypatch):
+    prefix = str(tmp_path / "fac")
+    for suffix in ".u", ".s", ".v":
+        with open(prefix + suffix, "w", encoding="utf-8") as fh:
+            fh.write(f"earlier {suffix}\n")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    writes = []
+
+    def write_then_fail(path, a):
+        writes.append(path)
+        if len(writes) < 2:
+            return write_tensor(path, a)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("dims = [")  # a partial file, then the device fills up
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_tensor", write_then_fail)
+    code, out, err = run_cli(["tsvd", fixture_file, "--out", prefix], capsys)
+    assert (code, out) == (2, "")
+    assert "No space left on device" in err
+    assert len(writes) == 2
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 def test_lapack_failure_exits_numerical(fixture_file, capsys, svd_fails):

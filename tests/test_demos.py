@@ -1,7 +1,7 @@
 """Repository checks: every script under demos/ runs to completion, the
 package imports nothing beyond numpy and the standard library and no name it
-never uses, it exports each module's public names once, and it reads tensor
-files in one pass."""
+never uses, it exports each module's public names once, only the CLI's driver
+writes files and prints reports, and it reads tensor files in one pass."""
 
 import ast
 import importlib
@@ -96,6 +96,20 @@ def test_only_spectral_reaches_the_kernels():
                 assert not set(name.split(".")) & KERNEL_NAMES, where
                 assert not any(name == call or name.startswith(call + ".")
                                for call in KERNEL_CALLS), where
+
+
+def test_only_the_cli_driver_writes_and_prints():
+    # The subcommands return their outputs and report; `_run` writes and
+    # prints them once the subcommand has returned, so a failing run leaves
+    # no file, and `main` prints only errors.
+    tree = ast.parse((ROOT / "src" / "tsvdkit" / "cli.py").read_text(encoding="utf-8"))
+    owners = {"write_tensor": {"_run"}, "print": {"_run", "main"}}
+    named_in = {name: set() for name in owners}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in owners:
+                named_in[node.id].add(getattr(top, "name", f"line {top.lineno}"))
+    assert named_in == owners
 
 
 def module_imports(node):

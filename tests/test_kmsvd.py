@@ -439,8 +439,8 @@ class TestOverflowedSpectrum:
     """No answer comes from a spectrum that overflowed float64."""
 
     @pytest.mark.parametrize("call", [
-        singular_values, sigma1, lambda a: km_equal(a, a),
-    ], ids=["singular_values", "sigma1", "km_equal"])
+        singular_values, sigma1, lambda a: km_equal(a, a), km_mapping, tsvd, best_trank_one,
+    ], ids=["singular_values", "sigma1", "km_equal", "km_mapping", "tsvd", "best_trank_one"])
     def test_raises(self, call):
         for a in overflowing_tensors():
             with np.errstate(over="ignore"), pytest.raises(ArithmeticError,
