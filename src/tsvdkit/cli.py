@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import frobenius_norm, transpose
+from .core import _finite, frobenius_norm, transpose
 from .fileio import read_tensor, write_tensor
 from .kmsvd import (SIGMA1_BOUND_SLACK, _images_equal, _km_diag, sigma1,
                     sigma1_upper_bound_check, singular_values, truncate_trank, tsvd)
@@ -53,11 +53,7 @@ def _finite_outputs(outputs):
     back, so the run fails with ArithmeticError before it writes anything.
     """
     for path, tensor in outputs.items():
-        if not np.isfinite(tensor).all():
-            raise ArithmeticError(
-                f"{path} would hold entries that are not finite: the result "
-                "overflowed float64; rescale the input"
-            )
+        _finite(tensor, f"the largest magnitude in {path}")
     return outputs
 
 
@@ -172,15 +168,17 @@ def _run(args):
     """Run the subcommand `args.func`, write its outputs, print its report.
 
     Each output is written to a temporary file beside its target, and the
-    targets are replaced only once every write has succeeded; so a run that
-    fails, in the subcommand or in a write, leaves every target as it was and
-    prints no report.
+    targets are replaced only once every write has succeeded and no target
+    is a directory; so a run that fails, in the subcommand or in a write,
+    leaves every target as it was and prints no report.
     """
     outputs, report, code = args.func(args)
     temps = {}
     try:
         for path, tensor in outputs.items():
             target = os.path.realpath(path)  # a symlink is written through, as open() does
+            if os.path.isdir(target):
+                raise IsADirectoryError(f"{path} is a directory")
             temps[target] = temp = f"{target}.{os.getpid()}.tmp"
             write_tensor(temp, tensor)
         for target, temp in temps.items():
@@ -241,7 +239,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        # A failure is reported once, below, not also by numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run(args)
     except (OSError, ValueError) as exc:
         print(f"tsvdkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

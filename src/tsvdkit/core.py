@@ -49,6 +49,17 @@ def _array(x, ndim, what, dtype=float):
     return arr
 
 
+def _finite(x, what):
+    """`x`, a float or an array, if it is finite.  Otherwise a result left
+    float64's range although the input was finite (`_array` refuses a non-finite
+    input), and ArithmeticError names `what`: the float or the largest magnitude.
+    """
+    big = x if isinstance(x, float) else float(np.abs(x).max())
+    if not math.isfinite(big):
+        raise ArithmeticError(f"{what} is {big}: the result overflowed float64; rescale the input")
+    return x
+
+
 def as_tensor(a):
     """Validate `a` as a dense real third-order tensor and return it as float64.
 
@@ -90,10 +101,7 @@ def frobenius_norm(a):
 
     A norm too large for float64 raises ArithmeticError rather than return inf.
     """
-    norm = float(_norm2(as_tensor(a)))
-    if norm == math.inf:
-        raise ArithmeticError("the Frobenius norm overflows float64; rescale the input")
-    return norm
+    return _finite(_norm2(as_tensor(a)), "the Frobenius norm")
 
 
 def unfold(a):

@@ -7,12 +7,11 @@ tensor that is invariant under T-products with orthogonal tensors, which is
 what makes the derived singular values and ranks well defined.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_tol, _norm2, as_tensor
+from .core import _check_tol, _finite, _norm2, as_tensor
 from .spectral import _from_half, _half, _rhalf, _svd, complex_svd, dft_mode3
 from .tprod import _conformable
 
@@ -31,6 +30,9 @@ __all__ = [
 ]
 
 SIGMA1_BOUND_SLACK = 1e-10
+
+# A refused image is named by its largest magnitude, sigma_1, which bounds every entry.
+_SIGMA1 = "the largest singular value"
 
 
 @dataclass(frozen=True)
@@ -62,25 +64,6 @@ def _km_diag(a):
     return _from_half(vals, a.shape[2])
 
 
-def _finite(value, what):
-    """`value`, a float, if it is finite; else the spectrum overflowed float64
-    and no answer is given."""
-    if not math.isfinite(value):
-        raise ArithmeticError(
-            f"{what} is {value}: the spectrum overflowed float64; rescale the input"
-        )
-    return value
-
-
-def _finite_tubes(tubes):
-    """The diagonal tubes `tubes` of an image, if every entry is finite.
-
-    The largest magnitude is sigma_1, which bounds every entry of the image.
-    """
-    _finite(float(np.abs(tubes).max()), "the largest singular value")
-    return tubes
-
-
 def _f_diagonal(tubes, m, n):
     """The (m, n, p) f-diagonal tensor whose r diagonal tubes are the rows of
     the (r, p) array `tubes`."""
@@ -96,7 +79,7 @@ def km_mapping(a):
     ArithmeticError if an entry is not finite: the spectrum overflowed float64.
     """
     a = as_tensor(a)
-    return _f_diagonal(_finite_tubes(_km_diag(a)), a.shape[0], a.shape[1])
+    return _f_diagonal(_finite(_km_diag(a), _SIGMA1), a.shape[0], a.shape[1])
 
 
 def tsvd(a):
@@ -106,12 +89,14 @@ def tsvd(a):
     bit: here each slice of ``dft_mode3(a)`` is factored on its own, the
     self-paired ones by LAPACK's real driver, while the mapping factors the
     ``rfft`` slices in one batched complex call.  ArithmeticError if an
-    entry of the middle factor is not finite: the spectrum overflowed float64.
+    entry of the transform or of the middle factor is not finite: the
+    spectrum overflowed float64.
     """
     a = as_tensor(a)
     m, n, p = a.shape
-    factors = [complex_svd(d) for d in _half(dft_mode3(a))]
-    tubes = _finite_tubes(_from_half(np.array([f.sigma for f in factors]), p))
+    spectrum = _finite(dft_mode3(a), "the largest transform entry")
+    factors = [complex_svd(d) for d in _half(spectrum)]
+    tubes = _finite(_from_half(np.array([f.sigma for f in factors]), p), _SIGMA1)
     return TSvd(
         u=_from_half(np.stack([f.u for f in factors]), p),
         s=_f_diagonal(tubes, m, n),
@@ -137,7 +122,7 @@ def singular_values(a, tol=None):
     diag = _km_diag(a)
     sv = np.sort(np.abs(diag), axis=None)[::-1]
     # The descending sort puts any inf or NaN first.
-    s1 = _finite(float(sv[0]), "the largest singular value")
+    s1 = _finite(float(sv[0]), _SIGMA1)
     lam = _norm2(diag, axis=1)
     if tol is None:
         tol = default_rank_threshold(a.shape, s1)
@@ -197,7 +182,7 @@ def best_trank_one(a):
     a = as_tensor(a)
     u, sigma, vh = _svd(_rhalf(a))
     p = a.shape[2]
-    return _truncated(u, vh, _finite_tubes(_from_half(sigma, p)), 1, p)
+    return _truncated(u, vh, _finite(_from_half(sigma, p), _SIGMA1), 1, p)
 
 
 def sigma1(a):
@@ -205,7 +190,7 @@ def sigma1(a):
 
     ArithmeticError if it is not finite: the spectrum overflowed float64.
     """
-    return _finite(float(_km_diag(as_tensor(a))[0, 0]), "the largest singular value")
+    return _finite(float(_km_diag(as_tensor(a))[0, 0]), _SIGMA1)
 
 
 def sigma1_upper_bound_check(a):

@@ -4,6 +4,7 @@ import numpy as np
 
 from .core import (
     _check_tol,
+    _finite,
     as_tensor,
     bcirc,
     fold,
@@ -137,7 +138,8 @@ def tinverse(a, tol=1e-12):
 
     A slice whose smallest singular value is at most ``tol`` times the largest
     singular value over all slices counts as singular and raises
-    SingularSliceError naming the (1-based) slice.
+    SingularSliceError naming the (1-based) slice.  An inverse with an entry
+    beyond the float64 range raises ArithmeticError.
     """
     _check_tol(tol)
     a = as_tensor(a)
@@ -152,4 +154,4 @@ def tinverse(a, tol=1e-12):
         k = int(singular[0])
         raise SingularSliceError(k + 1, sigma[k, -1])
     inv = (vh.conj().swapaxes(1, 2) / sigma[:, None, :]) @ u.conj().swapaxes(1, 2)
-    return _from_half(inv, p)
+    return _finite(_from_half(inv, p), "the largest entry of the inverse")

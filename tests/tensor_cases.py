@@ -41,7 +41,8 @@ def fdiagonal_fixture_image():
 def overflowing_tensors():
     """Finite tensors near the top of float64 whose spectrum overflows: a
     Gaussian 4x3x5 and a well-conditioned 4x4x5, both drawn with seed 1 and
-    scaled by 2**1020."""
+    scaled by 2**1020, and a 1x1x2 tube of 1.5e308s, whose forward transform
+    already overflows."""
     gaussian = np.random.default_rng(1).standard_normal((4, 3, 5))
     shifted = np.random.default_rng(1).standard_normal((4, 4, 5)) + 3 * identity_tensor(4, 5)
-    return [2.0**1020 * gaussian, 2.0**1020 * shifted]
+    return [2.0**1020 * gaussian, 2.0**1020 * shifted, np.full((1, 1, 2), 1.5e308)]

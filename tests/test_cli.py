@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tsvdkit import frobenius_norm, read_tensor, tprod, transpose, write_tensor
+from tsvdkit import frobenius_norm, identity_tensor, read_tensor, tprod, transpose, write_tensor
 from tsvdkit import cli, kmsvd
 from tsvdkit.cli import main
 
@@ -325,7 +325,7 @@ class TestTprodCommand:
         code, out, err = run_cli(["tprod", str(pa), str(pb), "--out", str(out_path)], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("tsvdkit: numerical failure: the Frobenius norm overflows")
+        assert err.startswith("tsvdkit: numerical failure: the Frobenius norm is inf")
         assert not out_path.exists()
 
     def test_symlinked_target_is_written_through(self, tmp_path, capsys):
@@ -350,32 +350,57 @@ class TestTprodCommand:
 def test_overflowed_spectrum_exits_numerical(tmp_path, capsys):
     path = tmp_path / "big.tensor"
     write_tensor(path, overflowing_tensors()[1])
-    with np.errstate(over="ignore"):
-        code, out, err = run_cli(["rank", str(path)], capsys)
+    code, out, err = run_cli(["rank", str(path)], capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("tsvdkit: numerical failure: the largest singular value is inf")
 
 
-@pytest.mark.parametrize("command", ["tsvd", "approx", "tprod", "verify"])
+@pytest.mark.parametrize("command", ["tsvd", "approx", "tsvd-forward", "approx-forward",
+                                     "tprod", "tprod-transform", "verify"])
 def test_overflowing_run_writes_and_prints_nothing(tmp_path, capsys, command):
-    big, two, spectrum = (str(tmp_path / f"{name}.tensor") for name in ("big", "two", "spectrum"))
+    names = ("big", "tube", "two", "spectrum", "stacked", "identities")
+    big, tube, two, spectrum, stacked, identities = (str(tmp_path / f"{name}.tensor")
+                                                     for name in names)
     write_tensor(big, np.full((2, 1, 1), 1.5e308))  # sigma_1 = 2.1e308 overflows
+    write_tensor(tube, np.full((1, 1, 2), 1.5e308))  # so does its forward transform
     write_tensor(two, np.full((1, 1, 1), 2.0))
     write_tensor(spectrum, overflowing_tensors()[1])
+    # A product large enough for the transform route, whose sum over the
+    # tube overflows although the true product is `spectrum` stacked.
+    write_tensor(stacked, np.concatenate([overflowing_tensors()[1]] * 8))
+    write_tensor(identities, np.concatenate([identity_tensor(4, 5)] * 5, axis=1))
     target = str(tmp_path / "out.tensor")
     argv = {
         "tsvd": ["tsvd", big, "--out", str(tmp_path / "fac")],
         "approx": ["approx", big, "--rank", "1", "--out", target],
+        "tsvd-forward": ["tsvd", tube, "--out", str(tmp_path / "fac")],
+        "approx-forward": ["approx", tube, "--rank", "1", "--out", target],
         "tprod": ["tprod", big, two, "--out", target],
+        "tprod-transform": ["tprod", stacked, identities, "--out", target],
         "verify": ["verify", spectrum],
     }[command]
     before = sorted(os.listdir(tmp_path))
-    with np.errstate(over="ignore"):
-        code, out, err = run_cli(argv, capsys)
+    # No np.errstate here: under the filterwarnings = error setting, a numpy
+    # overflow warning escaping main would fail the run.
+    code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("tsvdkit: numerical failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")  # one line per failure
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_directory_target_fails_before_any_replace(tmp_path, fixture_file, capsys):
+    prefix = str(tmp_path / "fac")
+    with open(prefix + ".u", "w", encoding="utf-8") as fh:
+        fh.write("earlier .u\n")
+    os.mkdir(prefix + ".s")
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run_cli(["tsvd", fixture_file, "--out", prefix], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"tsvdkit: error: {prefix}.s is a directory\n"
+    assert (tmp_path / "fac.u").read_text(encoding="utf-8") == "earlier .u\n"
+    assert sorted(os.listdir(tmp_path)) == before  # no temporary file left
 
 
 def test_failed_write_leaves_every_target_as_it_was(tmp_path, fixture_file, capsys, monkeypatch):

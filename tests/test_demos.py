@@ -1,7 +1,8 @@
 """Repository checks: every script under demos/ runs to completion, the
 package imports nothing beyond numpy and the standard library and no name it
 never uses, it exports each module's public names once, only the CLI's driver
-writes files and prints reports, and it reads tensor files in one pass."""
+writes files and prints reports, only `core._finite` raises a bare
+ArithmeticError, and it reads tensor files in one pass."""
 
 import ast
 import importlib
@@ -110,6 +111,21 @@ def test_only_the_cli_driver_writes_and_prints():
             if isinstance(node, ast.Name) and node.id in owners:
                 named_in[node.id].add(getattr(top, "name", f"line {top.lineno}"))
     assert named_in == owners
+
+
+def test_only_core_finite_raises_arithmetic_error():
+    # A result beyond float64's range is refused in one place, with one
+    # message.  SingularSliceError and SvdConvergenceError report other
+    # failures and are raised under their own names.
+    raisers = set()
+    for path in sorted((ROOT / "src" / "tsvdkit").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if dotted(exc) == "ArithmeticError":
+                        raisers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert raisers == {"core._finite"}
 
 
 def module_imports(node):

@@ -432,6 +432,15 @@ class TestTinverse:
             tinverse(np.zeros((2, 2, 3)))
         assert info.value.slice_index == 1
 
+    @pytest.mark.parametrize("c, value", [(1e-308, "inf"), (2e-309, "nan")])
+    def test_inverse_beyond_float64_raises(self, c, value):
+        # The inverse of c * I is I / c: at 1e-308 the inverse transform's sum
+        # overflows to inf, and at 2e-309 1 / c itself does, leaving NaNs.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match=f"the largest entry of the inverse is {value}: "
+                                       "the result overflowed float64"):
+            tinverse(c * identity_tensor(2, 3))
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0])
     def test_rejects_nan_and_negative_tol(self, tol):
         # Under a NaN gate no slice is singular: the zero tensor would invert to NaNs.
