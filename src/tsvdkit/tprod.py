@@ -4,6 +4,7 @@ import numpy as np
 
 from .core import (
     _check_tol,
+    _circulant,
     _finite,
     as_tensor,
     bcirc,
@@ -58,20 +59,6 @@ def _conformable(a, b):
 _SPATIAL_MAX_WORK = 2**15
 
 
-def _circulant(b):
-    """The (n*p, q*p) block circulant of an (n, q, p) tensor, with entry
-    ((j, l), (s, k)) equal to b[j, s, (k - l) mod p]."""
-    n, q, p = b.shape
-    # In b's tubes written out twice, (k - l) mod p is p + k - l: a view
-    # that steps back one entry per l and forward one per k reads every
-    # block without an index array, and the reshape copies it out.  The
-    # view needs one contiguous buffer, whatever b's layout.
-    twice = np.ascontiguousarray(np.concatenate((b, b), axis=2))
-    sj, ss, sk = twice.strides
-    view = np.ndarray((n, p, q, p), float, twice, p * sk, (sj, -sk, ss, sk))
-    return view.reshape(n * p, q * p)
-
-
 def tprod(a, b):
     """T-product of an (m, n, p) and an (n, q, p) tensor: the (m, q, p) tensor
     whose frontal slice k is the sum over l of a_l @ b_{(k - l) mod p}.
@@ -91,7 +78,8 @@ def tprod(a, b):
     (m, n, p), q = a.shape, b.shape[1]
     if m * n * q * p * p > _SPATIAL_MAX_WORK:
         return _from_half(_rhalf(a) @ _rhalf(b), p)
-    return (a.reshape(m, n * p) @ _circulant(b)).reshape(m, q, p)
+    circulant = _circulant(b).transpose(0, 3, 1, 2).reshape(n * p, q * p)
+    return (a.reshape(m, n * p) @ circulant).reshape(m, q, p)
 
 
 def tprod_direct(a, b):

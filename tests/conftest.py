@@ -33,9 +33,11 @@ def kernel_route(request, use_route):
 @pytest.fixture(params=["spatial", "transform"])
 def tprod_route(request, monkeypatch):
     """Run the test once with every T-product on each route: "spatial" (one
-    matmul against a block circulant) or "transform" (the half spectrum)."""
+    matmul against a block circulant) or "transform" (the half spectrum).
+    Returns the route's name."""
     limit = {"spatial": math.inf, "transform": -1}[request.param]
     monkeypatch.setattr(tprod_module, "_SPATIAL_MAX_WORK", limit)
+    return request.param
 
 
 @pytest.fixture

@@ -46,3 +46,19 @@ def overflowing_tensors():
     gaussian = np.random.default_rng(1).standard_normal((4, 3, 5))
     shifted = np.random.default_rng(1).standard_normal((4, 4, 5)) + 3 * identity_tensor(4, 5)
     return [2.0**1020 * gaussian, 2.0**1020 * shifted, np.full((1, 1, 2), 1.5e308)]
+
+
+def layouts(x):
+    """`x` in several memory layouts, by name: C-ordered, F-ordered,
+    transposed (axes 0 and 1 swapped in memory), with negative strides, and
+    as a strided slice of a larger array.  Every one equals `x`."""
+    m, n, p = x.shape
+    big = np.zeros((2 * m, 3 * n, 2 * p + 1))
+    big[::2, 1::3, 1::2] = x
+    return {
+        "C": np.ascontiguousarray(x),
+        "F": np.asfortranarray(x),
+        "transposed": np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2),
+        "negative strides": np.ascontiguousarray(x[::-1, ::-1, ::-1])[::-1, ::-1, ::-1],
+        "sliced": big[::2, 1::3, 1::2],
+    }

@@ -432,7 +432,7 @@ def test_lapack_failure_exits_numerical(fixture_file, capsys, svd_fails):
         svd_fails(route)
         code, _, err = run_cli(["rank", fixture_file], capsys)
         assert code == 3
-        assert "numerical failure" in err
+        assert err == "tsvdkit: numerical failure: SVD did not converge\n"
 
 
 def test_console_entry_point(tmp_path):

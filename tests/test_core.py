@@ -21,6 +21,8 @@ from tsvdkit import (
     unfold,
 )
 
+from tensor_cases import layouts
+
 small_dims = st.tuples(
     st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)
 )
@@ -98,6 +100,22 @@ class TestBcirc:
         assert np.linalg.norm(bcirc(a)) / np.sqrt(5) == pytest.approx(
             frobenius_norm(a), rel=1e-13
         )
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_definition_on_every_layout(self, p):
+        # The block-circulant view is read from one contiguous copy of the
+        # tubes written out twice, so no operand layout can move a block.
+        m, n = 3, 2
+        a = np.random.default_rng(p).standard_normal((m, n, p))
+        for name, operand in layouts(a).items():
+            mat = bcirc(operand)
+            assert mat.shape == (m * p, n * p) and mat.flags.c_contiguous, name
+            for r in range(p):
+                for c in range(p):
+                    block = mat[r * m:(r + 1) * m, c * n:(c + 1) * n]
+                    assert np.array_equal(block, a[:, :, (r - c) % p]), (name, r, c)
+            for mat_layout in (mat, np.asfortranarray(mat), mat[::-1, ::-1].copy()[::-1, ::-1]):
+                assert np.array_equal(bcirc_inverse(mat_layout, m, n, p), a), name
 
 
 class TestBcircInverse:

@@ -2,7 +2,8 @@
 package imports nothing beyond numpy and the standard library and no name it
 never uses, it exports each module's public names once, only the CLI's driver
 writes files and prints reports, only `core._finite` raises a bare
-ArithmeticError, and it reads tensor files in one pass."""
+ArithmeticError, only `core._circulant` builds a hand-strided array, and it
+reads tensor files in one pass."""
 
 import ast
 import importlib
@@ -126,6 +127,50 @@ def test_only_core_finite_raises_arithmetic_error():
                     if dotted(exc) == "ArithmeticError":
                         raisers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert raisers == {"core._finite"}
+
+
+STRIDE_TRICKS = ("as_strided", "sliding_window_view", "stride_tricks")
+
+
+def hand_strided(node):
+    """True if `node` builds an array by hand from a buffer and strides: a
+    call of np.ndarray with a buffer, or a use of numpy's stride tricks."""
+    if isinstance(node, ast.Call) and dotted(node.func).split(".")[-1] == "ndarray":
+        return len(node.args) > 2 or any(kw.arg == "buffer" for kw in node.keywords)
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [alias.name for alias in node.names]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, (ast.Name, ast.Attribute)):
+        names = [dotted(node)]
+    else:
+        return False
+    return any(part in STRIDE_TRICKS for name in names for part in name.split("."))
+
+
+def test_only_core_circulant_builds_a_strided_view():
+    # The block circulant's layout has one owner: `bcirc`, `bcirc_inverse`
+    # and the spatial `tprod` all reshape the view `core._circulant` builds.
+    builders = set()
+    for path in sorted((ROOT / "src" / "tsvdkit").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(hand_strided(node) for node in ast.walk(top)):
+                builders.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert builders == {"core._circulant"}
+
+
+def test_strided_view_guard_sees_each_form():
+    forms = ["np.ndarray(shape, float, buf, 0, strides)",
+             "numpy.ndarray(shape, dtype=float, buffer=buf)",
+             "np.lib.stride_tricks.as_strided(x, shape, strides)",
+             "from numpy.lib.stride_tricks import sliding_window_view",
+             "from numpy.lib import stride_tricks",
+             "import numpy.lib.stride_tricks"]
+    for form in forms:
+        assert any(map(hand_strided, ast.walk(ast.parse(form)))), form
+    for form in ["np.ndarray", "isinstance(x, np.ndarray)", "np.ndarray((2, 3))",
+                 "x.strides", "np.lib.scimath.sqrt(x)"]:
+        assert not any(map(hand_strided, ast.walk(ast.parse(form)))), form
 
 
 def module_imports(node):

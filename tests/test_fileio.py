@@ -144,6 +144,59 @@ class TestFormatErrors:
             tmp_path, "dims: [1, 1, 1]\ndata = [0.0]\n", "expected 'key = value'"
         )
 
+    @pytest.mark.parametrize("chunk", [1, 7, fileio._READ_CHUNK])
+    @pytest.mark.parametrize("line,shown", [
+        ("x" * 80, repr("x" * 80)),
+        ("x" * 81, repr("x" * 80) + "..."),
+        ("  " + "x" * 80 + " " * 300, repr("x" * 80)),
+        ("x" * 79 + " " * 300 + "y", repr("x" * 79 + " ") + "..."),
+        ("x" * 80 + " " * 300 + "# y", repr("x" * 80) + "..."),
+        ("x" * 60 + "# " + "y" * 60, repr("x" * 60 + "# " + "y" * 18) + "..."),
+    ])
+    def test_line_quoted_to_80_characters(self, tmp_path, chunk, line, shown):
+        # The message quotes a line that is no field, comment included, to
+        # 80 characters once stripped, and marks a cut with "..." after it.
+        text = "dims = [1, 1, 1]\n" + line + "\ndata = [0.0]\n"
+        path = tmp_path / "t.tensor"
+        path.write_text(text)
+        want = f"{path}:2: expected 'key = value', got {shown}"
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk), \
+                pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == want
+        with pytest.raises(TensorFormatError) as info:
+            whole_text_parser._parse(text, str(path))
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, fileio._READ_CHUNK])
+    @pytest.mark.parametrize("name,shown", [
+        ("k" * 80, repr("k" * 80)),
+        ("k" * 81, repr("k" * 80) + "..."),
+        (" " * 300 + "k" * 40 + " " * 300 + "k", repr("k" * 40 + " " * 40) + "..."),
+    ])
+    def test_unknown_field_name_quoted_to_80_characters(self, tmp_path, chunk, name,
+                                                        shown):
+        text = f"{name} = [1, 1, 1]\ndata = [0.0]\n"
+        path = tmp_path / "t.tensor"
+        path.write_text(text)
+        want = f"{path}:1: unknown field {shown} (expected 'dims' or 'data')"
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk), \
+                pytest.raises(TensorFormatError) as info:
+            read_tensor(path)
+        assert str(info.value) == want
+        with pytest.raises(TensorFormatError) as info:
+            whole_text_parser._parse(text, str(path))
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, fileio._READ_CHUNK])
+    def test_keys_padded_past_the_quote_bound_read(self, tmp_path, chunk):
+        # Blanks around a key are not part of its name, however many.
+        pad = " " * 300
+        path = tmp_path / "t.tensor"
+        path.write_text(f"{pad}dims{pad}= [1, 1, 2]\n\t{pad}data{pad}\t=[1.5, -2.0]\n")
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            assert read_tensor(path).ravel().tolist() == [1.5, -2.0]
+
     def test_unterminated_list(self, tmp_path):
         self.write_and_expect(
             tmp_path, "dims = [1, 1, 1]\ndata = [0.0,\n", "unterminated"
@@ -382,7 +435,8 @@ class TestChunkBoundaries:
                                                      "\x85", "nan", "1e999", "_", "-",
                                                      "7", "dims = [1, 2, 2]",
                                                      "data = [", "# ]\n", "\u3000",
-                                                     "\n\n", "dims = [1, 2"])),
+                                                     "\n\n", "dims = [1, 2",
+                                                     "k" * 90, " " * 90])),
                           max_size=4),
            chunk=st.sampled_from([1, 3, 16, 64, READ_CHUNK]),
            convert=st.sampled_from([1, 5, fileio._CONVERT_CHUNK]))
@@ -586,6 +640,32 @@ class TestMemory:
         else:
             assert outcome == [message]
         assert read_peak <= path.stat().st_size + a.nbytes
+
+    @pytest.mark.parametrize("line,message", [
+        ("[" + ", ".join(["1.5"] * 400_000) + "]",
+         "expected 'key = value', got " + repr("[" + "1.5, " * 15 + "1.5,") + "..."),
+        ("x" * 2_000_000 + " = [1, 1, 1]",
+         f"unknown field {'x' * 80!r}... (expected 'dims' or 'data')"),
+    ], ids=["no field", "unknown field"])
+    def test_a_long_line_that_is_no_field_stays_bounded(self, tmp_path, line, message):
+        # A 2 MB line is held one read piece at a time, and its message
+        # quotes 80 characters of it: the whole line used to be held (a
+        # 5.8 MiB peak) and quoted in a 2,000,063-character message.
+        path = tmp_path / "t.tensor"
+        path.write_text(line + "\n")
+        outcome = []
+
+        def read():
+            try:
+                read_tensor(path)
+            except TensorFormatError as exc:
+                outcome.append(str(exc))
+
+        read_peak = traced_peak(read)
+        assert path.stat().st_size > 2_000_000
+        assert outcome == [f"{path}:1: {message}"]
+        assert len(message) < 200  # beside the file's path
+        assert read_peak < 1 << 20
 
     @pytest.mark.parametrize("entries", [100_000, 400_000])
     def test_a_batch_is_at_most_one_piece(self, tmp_path, entries):

@@ -12,6 +12,14 @@ import numpy as np
 
 from tsvdkit import TensorFormatError
 
+# Characters of a line, or of a field's name, that a message quotes.
+SHOWN = 80
+
+
+def _shown(text):
+    # Cut to SHOWN characters, marked with "..." after the quote where cut.
+    return repr(text) if len(text) <= SHOWN else repr(text[:SHOWN]) + "..."
+
 
 def _numeral(convert, tok):
     # int() and float() also read Python-only numerals, with digit-group
@@ -84,12 +92,12 @@ def _parse(text, source):
         if key is None:
             if "=" not in line:
                 raise TensorFormatError(
-                    f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}"
+                    f"{source}:{lineno}: expected 'key = value', got {_shown(raw.strip())}"
                 )
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in ("dims", "data"):
                 raise TensorFormatError(
-                    f"{source}:{lineno}: unknown field {key!r} "
+                    f"{source}:{lineno}: unknown field {_shown(key)} "
                     "(expected 'dims' or 'data')"
                 )
             if key in fields:
