@@ -1,9 +1,12 @@
 """Command-line front-end: ``tsvdkit <tsvd|rank|approx|verify|tprod>``.
 
-Each ``cmd_*`` subcommand only computes.  It returns the tensors to write,
-keyed by path, the report as ``(key, value)`` pairs, and the exit code;
-``_run`` alone writes the files and prints the report, after the subcommand
-has returned.  A run that fails therefore writes no file and prints no report.
+Each ``cmd_*`` subcommand only computes, on the tensors of the input files
+its parser names in ``inputs``.  It returns the tensors to write, keyed by
+path, the report as ``(key, value)`` pairs, and the exit code.  ``_run``
+alone reads the inputs, writes the files and prints the report, after the
+subcommand has returned.  A run that fails therefore prints no report and
+leaves every output that is a regular file as it was, as those are replaced
+atomically; a FIFO or a device, which cannot be, is written in place.
 
 Reports are printed one ``key = value`` pair per line with 17 significant
 digits.  Exit codes: 0 success, 2 usage or file-format violation, 3 numerical
@@ -14,6 +17,7 @@ float64).
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 import numpy as np
@@ -62,8 +66,7 @@ def _residual(a, fac):
     return frobenius_norm(a - tprod(fac.u, tprod(fac.s, transpose(fac.v))))
 
 
-def cmd_tsvd(args):
-    a = read_tensor(args.input)
+def cmd_tsvd(args, a):
     fac = tsvd(a)
     prefix = args.out if args.out is not None else _default_prefix(args.input)
     outputs = _finite_outputs({prefix + ".u": fac.u, prefix + ".s": fac.s, prefix + ".v": fac.v})
@@ -80,8 +83,7 @@ def cmd_tsvd(args):
     return outputs, report, EXIT_OK
 
 
-def cmd_rank(args):
-    a = read_tensor(args.input)
+def cmd_rank(args, a):
     report = singular_values(a, tol=args.tol)
     return {}, [
         ("sigma", _fmt_list(report.singular_values)),
@@ -92,8 +94,7 @@ def cmd_rank(args):
     ], EXIT_OK
 
 
-def cmd_approx(args):
-    a = read_tensor(args.input)
+def cmd_approx(args, a):
     approx = truncate_trank(tsvd(a), args.rank)
     outputs = _finite_outputs({args.out: approx})
     report = [
@@ -138,11 +139,10 @@ def _verify_checks(a, seed, trials):
         yield ("subadditivity", SUBADDITIVITY_TOL, ok)
 
 
-def cmd_verify(args):
+def cmd_verify(args, a):
     for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
-    a = read_tensor(args.input)
     report = [("input", args.input), ("seed", args.seed), ("trials", args.trials)]
     failed = 0
     for name, tol, passed in _verify_checks(a, args.seed, args.trials):
@@ -151,9 +151,7 @@ def cmd_verify(args):
     return {}, report, EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_tprod(args):
-    a = read_tensor(args.left)
-    b = read_tensor(args.right)
+def cmd_tprod(args, a, b):
     product = tprod(a, b)
     outputs = _finite_outputs({args.out: product})
     report = [
@@ -165,22 +163,36 @@ def cmd_tprod(args):
 
 
 def _run(args):
-    """Run the subcommand `args.func`, write its outputs, print its report.
+    """Read the input files of the subcommand `args.func`, run it on their
+    tensors, write its outputs and print its report.
 
-    Each output is written to a temporary file beside its target, and the
-    targets are replaced only once every write has succeeded and no target
-    is a directory; so a run that fails, in the subcommand or in a write,
-    leaves every target as it was and prints no report.
+    An output whose target is a regular file, or none yet, is written to a
+    temporary file beside it, and those targets are replaced only once every
+    write has succeeded and no target is a directory; so a run that fails, in
+    the subcommand or in a write, leaves every such target as it was and
+    prints no report.  A target that exists and is no regular file, such as a
+    FIFO or a device, cannot be replaced without losing what it is: it is
+    written in place, after every temporary file and before any replace.
     """
-    outputs, report, code = args.func(args)
-    temps = {}
+    tensors = [read_tensor(getattr(args, name)) for name in args.inputs]
+    outputs, report, code = args.func(args, *tensors)
+    temps, in_place = {}, {}
     try:
         for path, tensor in outputs.items():
-            target = os.path.realpath(path)  # a symlink is written through, as open() does
-            if os.path.isdir(target):
+            try:
+                mode = os.stat(path).st_mode  # of what a symlink names
+            except OSError:  # no such file yet; a fault shows in the temporary's write
+                mode = stat.S_IFREG
+            if stat.S_ISDIR(mode):
                 raise IsADirectoryError(f"{path} is a directory")
+            if not stat.S_ISREG(mode):
+                in_place[path] = tensor
+                continue
+            target = os.path.realpath(path)  # a symlink is written through, as open() does
             temps[target] = temp = f"{target}.{os.getpid()}.tmp"
             write_tensor(temp, tensor)
+        for path, tensor in in_place.items():
+            write_tensor(path, tensor)
         for target, temp in temps.items():
             os.replace(temp, target)
     finally:
@@ -202,13 +214,13 @@ def _build_parser():
     p_tsvd = sub.add_parser("tsvd", help="factor a tensor into U, S, V files")
     p_tsvd.add_argument("input", help="tensor file to factor")
     p_tsvd.add_argument("--out", help="output prefix (default: input path stem)")
-    p_tsvd.set_defaults(func=cmd_tsvd)
+    p_tsvd.set_defaults(func=cmd_tsvd, inputs=("input",))
 
     p_rank = sub.add_parser("rank", help="report singular values and ranks")
     p_rank.add_argument("input", help="tensor file to analyze")
     p_rank.add_argument("--tol", type=float, default=None,
                         help="nonzero threshold (default: relative machine gate)")
-    p_rank.set_defaults(func=cmd_rank)
+    p_rank.set_defaults(func=cmd_rank, inputs=("input",))
 
     p_approx = sub.add_parser("approx", help="write a low-rank approximation")
     p_approx.add_argument("input", help="tensor file to approximate")
@@ -217,20 +229,20 @@ def _build_parser():
     p_approx.add_argument("--mode", choices=["trank"], default="trank",
                           help="truncation mode")
     p_approx.add_argument("--out", required=True, help="output tensor file")
-    p_approx.set_defaults(func=cmd_approx)
+    p_approx.set_defaults(func=cmd_approx, inputs=("input",))
 
     p_verify = sub.add_parser("verify", help="run the invariant suite on a tensor")
     p_verify.add_argument("input", help="tensor file to verify")
     p_verify.add_argument("--seed", type=int, default=0, help="randomness seed")
     p_verify.add_argument("--trials", type=int, default=20,
                           help="randomized trials per property (0 = deterministic only)")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, inputs=("input",))
 
     p_prod = sub.add_parser("tprod", help="t-product of two tensor files")
     p_prod.add_argument("left", help="left tensor file")
     p_prod.add_argument("right", help="right tensor file")
     p_prod.add_argument("--out", required=True, help="output tensor file")
-    p_prod.set_defaults(func=cmd_tprod)
+    p_prod.set_defaults(func=cmd_tprod, inputs=("left", "right"))
 
     return parser
 

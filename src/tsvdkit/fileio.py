@@ -8,8 +8,11 @@ A tensor file is a text document with two fields::
 `data` lists the entries slice by slice, row-major within each slice:
 ``data[(k-1)*m*n + (i-1)*n + (j-1)]`` is the (i, j, k) entry (1-based).
 Values are written with full round-trip precision, so write/read is
-bit-exact.  Entries are ASCII decimal numerals: ``int()`` and ``float()``
-syntax without digit-group underscores or non-ASCII digits.  Files are UTF-8,
+bit-exact, and in at most 24 characters each.  Entries are ASCII decimal
+numerals: ``int()`` and ``float()`` syntax without digit-group underscores or
+non-ASCII digits, and at most 4096 characters long as the grammar below reads
+them; a longer one is not a number, even one ``float()`` would take, such as
+``0.`` followed by 5,000 zeros and a ``1``.  Files are UTF-8,
 and a leading byte-order mark is skipped; a file that is not UTF-8 is a
 format error.  Blank lines and ``#`` comments are ignored; a bracketed list
 may span any number of lines, and reading and writing take time linear in the
@@ -26,17 +29,22 @@ Memory is bounded by the tensor, not by its text.  A write formats the list
 every input, pipes included, once, 64 Ki characters at a time, and converts
 the entries straight into the result array (into pieces joined at the end
 when `data` comes before `dims`).  Entries are converted in batches: once 4 Ki
-characters of them are held, everything up to the last comma is converted
-and the rest carried over.  So a batch is at most one piece plus what was
-held before it, under 4 Ki characters or one entry that runs longer.  For
-short entries that is some 20,000 entry strings at once: a `dims` that lists
-100,000 entries ``40`` (a 0.38 MiB file) peaks at about 1.4 MiB (tracemalloc),
-as does one four times as long.  The bound holds also when a field runs on past its
-line, as a `dims` that lacks its ``]`` runs on through `data`: `dims` keeps
-three entries and only counts the rest.  A malformed file is reported from
-that same pass, with its line number and, for a bad list entry, the entry's
-index and text.  A message quotes at most 80 characters of a line that is
-no field, or of an unknown field's name, stripped, and marks a cut with
+characters of them have arrived since the last batch, everything up to the
+last comma is converted and the rest carried over.  So a batch is at most one
+piece plus what was held before it: under 4 Ki characters, and the entry
+under way.  That entry is held in at most 8 Ki characters: once it is
+longer than 4096 as the grammar reads it, it is refused and no more of it is
+held, and until then its finished lines are held joined as the grammar joins
+them, so the blanks the grammar drops are dropped.  A 2,000,000-character
+entry peaks at 0.38 MiB (tracemalloc).  For short entries a batch is some
+20,000 entry strings at once: a `dims` that lists 100,000 entries ``40``
+(a 0.38 MiB file) peaks at about 1.4 MiB, as does one four times as long.
+The bound holds also when a field runs on past its line, as a `dims` that
+lacks its ``]`` runs on through `data`: `dims` keeps three entries and only
+counts the rest.  A malformed file is reported from that same pass, with
+its line number and, for a bad list entry, the entry's index and text.  A
+message quotes at most 80 characters of a line that is no field, of an
+unknown field's name, stripped, or of a bad list entry, and marks a cut with
 ``...`` after the quote; the read holds no more of such a line than that and
 one piece, so a 2 MB line with no ``=`` peaks at 0.28 MiB (tracemalloc).
 The first fault the pass meets is the one reported: a line that is no
@@ -57,8 +65,12 @@ __all__ = ["TensorFormatError", "read_tensor", "write_tensor"]
 _WRITE_CHUNK = 4096
 _READ_CHUNK = 1 << 16
 _CONVERT_CHUNK = 1 << 12
-# Characters of a line, or of a field's name, that a message quotes.
+# Characters of a line, of a field's name, or of a list entry that a message
+# quotes.
 _SHOWN = 80
+# Characters of a list entry, as the grammar reads it, beyond which it is not
+# a number.  A written entry has at most 24, as "-2.2250738585072014e-308".
+_LONGEST_ENTRY = 4096
 
 # The line boundaries of str.splitlines.  ("\r" never reaches the parser:
 # text-mode reads translate it.)
@@ -71,10 +83,25 @@ class TensorFormatError(ValueError):
 
 def _numeral(convert, tok):
     # int() and float() also read Python-only numerals, with digit-group
-    # underscores or non-ASCII digits; the format takes ASCII ones only.
-    if "_" in tok or not tok.isascii():
+    # underscores or non-ASCII digits; the format takes ASCII ones only, and
+    # none longer than `_LONGEST_ENTRY`.
+    if len(tok) > _LONGEST_ENTRY or "_" in tok or not tok.isascii():
         raise ValueError(tok)
     return convert(tok)
+
+
+def _parts_short(text):
+    """True if no comma-separated part of `text` is longer than
+    `_LONGEST_ENTRY`.  Each window of `_LONGEST_ENTRY` + 1 characters from a
+    part's start is searched for its last comma, where the next window
+    starts: a few searches a batch, where measuring every part would take a
+    Python step per entry."""
+    start = 0
+    while len(text) - start > _LONGEST_ENTRY:
+        start = text.rfind(",", start, start + _LONGEST_ENTRY + 1) + 1
+        if not start:
+            return False
+    return True
 
 
 def _head(head, text):
@@ -157,19 +184,23 @@ class _Entries:
             if text[0] != "[":
                 self.fault, self.rank = f"field {self.key!r} must be a bracketed list", 0
             self.carry, self.held, text = [], 0, text[1:]
+        ends = ends_line and self.last == "]"
         if ends_line:
             text += "\n"
         if self.rank != 0:
-            # `carry` holds the pieces not taken yet, `held` characters; they
-            # are taken up to the last comma once `_CONVERT_CHUNK` are held,
-            # so each piece is joined at most twice and a read stays linear.
+            # `carry` holds the pieces not taken yet, `held` characters of them
+            # new since the last batch.  Once `_CONVERT_CHUNK` are, and the
+            # field goes on, they are taken up to the last comma, and the
+            # entry under way is kept as `_kept` bounds it; so each piece is
+            # joined a bounded number of times and a read stays linear.
             self.carry.append(text)
             self.held += len(text)
-            if self.held >= _CONVERT_CHUNK and "," in text:
-                body, _, tail = "".join(self.carry).rpartition(",")
-                self._take(body)
-                self.carry, self.held = [tail], len(tail)
-        if not (ends_line and self.last == "]"):
+            if self.held >= _CONVERT_CHUNK and not ends:
+                body, comma, tail = "".join(self.carry).rpartition(",")
+                if comma:
+                    self._take(body)
+                self.carry, self.held = [self._kept(tail)], 0
+        if not ends:
             return False
         if self.rank != 0:
             tail = "".join(self.carry).rstrip()[:-1]  # the entry before the "]"
@@ -182,11 +213,41 @@ class _Entries:
                 self.fault = f"'dims' entries must be positive, got {list(self.out)}"
         return True
 
+    def _kept(self, tail):
+        """`tail`, the text so far of the entry under way, in at most
+        2 * `_LONGEST_ENTRY` + 2 characters that read as it does once the
+        rest of the field follows.
+
+        An entry already longer than `_LONGEST_ENTRY` as the grammar reads it
+        is refused, and "0" stands for it until it ends.  Else its finished
+        lines are joined as the grammar joins them, and of its last line the
+        leading blanks are dropped and at most `_LONGEST_ENTRY` + 1 trailing
+        ones kept: more text on that line makes the entry too long either way.
+        """
+        if len(tail) <= _LONGEST_ENTRY:
+            return tail
+        entry = _joined(tail)
+        # A "]" that ends the text so far ends the field if only blanks follow
+        # on its line, and is then no part of the entry.  Either way the
+        # entry's first `_SHOWN` characters, all that the quote takes, are
+        # these, as `_LONGEST_ENTRY` >= `_SHOWN`.
+        bracket = "]" if entry.endswith("]") else ""
+        if len(entry) - len(bracket) > _LONGEST_ENTRY:
+            if self.rank is None:
+                self.fault = (f"field {self.key!r} entry {self.count + 1} is not "
+                              f"{self.noun}: {_shown(entry.removesuffix(bracket))}")
+                self.rank = 2
+            return "0" + bracket
+        done, _, line = tail.rpartition("\n")
+        done, line = _joined(done), line.lstrip()
+        line = line[: len(line.rstrip()) + _LONGEST_ENTRY + 1]
+        return f"{done}\n{line}" if done else line
+
     def _take(self, body):
         tokens = body.split(",")
         start, self.count = self.count, self.count + len(tokens)
         valid = False
-        if self.rank is None and body.isascii() and "_" not in body:
+        if self.rank is None and body.isascii() and "_" not in body and _parts_short(body):
             try:
                 values = np.fromiter(map(self.kind, tokens), self.dtype, len(tokens))
             except ValueError:
@@ -206,7 +267,8 @@ class _Entries:
                 except ValueError:
                     values[i], what = np.nan, self.noun
                 if not abs(values[i]) < np.inf:  # true of NaN and ±inf, never of an int
-                    self.fault = f"field {self.key!r} entry {start + i + 1} is not {what}: {tok!r}"
+                    self.fault = (f"field {self.key!r} entry {start + i + 1} is not {what}: "
+                                  f"{_shown(tok)}")
                     self.rank = 2
                     return
         if self.parts is not None:
@@ -293,7 +355,8 @@ def read_tensor(path):
 
 
 def write_tensor(path, a):
-    """Write `a` with full round-trip precision."""
+    """Write `a` with full round-trip precision, in at most 24 characters an
+    entry: a float's shortest repr."""
     a = as_tensor(a)
     m, n, p = a.shape
     sep = ""

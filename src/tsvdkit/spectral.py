@@ -36,7 +36,7 @@ try:
 except ImportError:  # private module; the kernels then use np.linalg
     _umath_linalg = None
 
-from .core import _array, _check_tol, as_tensor
+from .core import _array, _check_tol, _finite, as_tensor
 
 __all__ = [
     "dft_mode3",
@@ -96,10 +96,13 @@ class SliceSvd:
 
 
 def _svd(d, compute_uv=True):
-    """``np.linalg.svd``, stacked over leading axes; failure is SvdConvergenceError."""
+    """``np.linalg.svd``, stacked over leading axes; failure is SvdConvergenceError,
+    unless `d`, a transform of finite data, has an entry that overflowed float64,
+    which LAPACK cannot factor: that is ArithmeticError."""
     try:
         return _kernels().svd(d, compute_uv)
     except np.linalg.LinAlgError as exc:
+        _finite(d, "the largest transform entry")
         raise SvdConvergenceError(str(exc)) from None
 
 

@@ -73,11 +73,16 @@ def tprod(a, b):
     5x5x4 product takes under half the time).  The bound stays far below
     where the extra arithmetic wins out: the product of two 32x32x32 tensors
     is about 4 times slower as one matmul.  Both routes agree to rounding.
+
+    A transform-route product with an entry beyond the float64 range raises
+    ArithmeticError: its sums over the tube can overflow although the true
+    product is finite.
     """
     a, b = _conformable(a, b)
     (m, n, p), q = a.shape, b.shape[1]
     if m * n * q * p * p > _SPATIAL_MAX_WORK:
-        return _from_half(_rhalf(a) @ _rhalf(b), p)
+        product = _from_half(_rhalf(a) @ _rhalf(b), p)
+        return _finite(product, "the largest entry of the product")
     circulant = _circulant(b).transpose(0, 3, 1, 2).reshape(n * p, q * p)
     return (a.reshape(m, n * p) @ circulant).reshape(m, q, p)
 

@@ -89,10 +89,15 @@ def singular_values(d, max_sweeps=60):
     return -np.sort(-np.sqrt((np.abs(d) ** 2).sum(axis=1)), axis=1)
 
 
+def slice_singular_values(a):
+    """The singular values of the p slices of a's DFT along tubes, as (p, r)."""
+    spectrum = np.fft.fft(np.asarray(a, np.longdouble), axis=2)
+    return singular_values(spectrum.transpose(2, 0, 1))
+
+
 def km_tubes(a):
     """The r = min(m, n) diagonal tubes of the mapping's image of `a`, as (r, p):
     the inverse DFT along tubes of the singular values of the slices of a's
     DFT.  Also returns sigma_1, the largest of those singular values."""
-    spectrum = np.fft.fft(np.asarray(a, np.longdouble), axis=2)
-    sigma = singular_values(spectrum.transpose(2, 0, 1))
+    sigma = slice_singular_values(a)
     return np.fft.ifft(sigma, axis=0).real.T, sigma.max()

@@ -1,4 +1,5 @@
-"""The T-product and the mapping's image against an answer key in long double.
+"""The T-product, the mapping's image and the ops built on it against an
+answer key in long double.
 
 `longdouble_oracle` computes each answer in extended precision with code that
 shares nothing with tsvdkit, so these tests measure how far an answer is from
@@ -10,7 +11,9 @@ is a finding about the library, not a bound to widen.
 
 The cases are 200 seeded draws: sides m, n, q in 1..8, tube length p in 1..9,
 and each operand scaled by 2**k, k in -40..40.  The scaling is exact, so the
-answers span 2**-80..2**80 with no underflow or overflow.
+answers span 2**-80..2**80 with no underflow or overflow.  `tinverse` gets
+200 square draws of its own, shifted so that every transform slice is well
+conditioned.
 """
 
 import functools
@@ -22,7 +25,8 @@ import pytest
 
 import longdouble_oracle as oracle
 from tensor_cases import layouts
-from tsvdkit import km_mapping, tprod, tprod_direct
+from tsvdkit import (best_trank_one, frobenius_norm, identity_tensor, km_mapping,
+                     singular_values, tinverse, tprod, tprod_direct, tsvd)
 
 tprod_module = importlib.import_module("tsvdkit.tprod")  # the package rebinds `tprod`
 
@@ -99,6 +103,25 @@ def images():
     return [(a, *oracle.km_tubes(a)) for a, _, _, _ in products()]
 
 
+def km_bound(shape):
+    """The constant of the bound on the image's tubes, in units of eps * sigma_1."""
+    m, n, p = shape
+    return max(m, n) + 2 * (1 + math.ceil(math.log2(p)))
+
+
+def diagonal(s):
+    r = min(s.shape[0], s.shape[1])
+    return s[np.arange(r), np.arange(r)]
+
+
+def image_error(image):
+    """The largest error of the diagonal tubes of `image` over the cases, in
+    units of km_bound * eps * sigma_1."""
+    return max(float(np.abs(diagonal(image(a)) - tubes).max()
+                     / (km_bound(a.shape) * EPS * sigma1))
+               for a, tubes, sigma1 in images())
+
+
 def test_km_mapping_tubes_against_jacobi(kernel_route):
     """Every entry of the image's diagonal tubes is within
     (max(m, n) + 2 * (1 + ceil(log2 p))) * eps * sigma_1 of the true one.
@@ -108,13 +131,102 @@ def test_km_mapping_tubes_against_jacobi(kernel_route):
     multiple of max(m, n) * eps * sigma_1; the forward and inverse FFTs add
     about log2 p roundings each, and the inverse averages the slices' errors.
     """
+    worst = image_error(km_mapping)
+    assert worst <= 1, f"error {worst:.3g} times its bound"
+
+
+def test_tsvd_middle_factor_against_jacobi(kernel_route):
+    """The diagonal tubes of ``tsvd``'s middle factor keep the mapping's
+    bound: ``tsvd`` factors each slice of the full spectrum on its own, the
+    self-paired ones by the real driver, which the same analysis covers."""
+    worst = image_error(lambda a: tsvd(a).s)
+    assert worst <= 1, f"error {worst:.3g} times its bound"
+
+
+def test_singular_values_against_jacobi(kernel_route):
+    """The sorted singular values are within the image's bound,
+    km_bound * eps * sigma_1, of the true ones, and each tube norm within
+    (km_bound + p) * eps * sigma_1.
+
+    Taking magnitudes and sorting move no value by more than the largest
+    error among the entries.  By Parseval the error vector of a tube is the
+    inverse DFT of its slices' errors, so its Euclidean norm is no larger than
+    the bound on one entry, and the norm of p entries adds its own rounding,
+    at most about p * eps times the norm, which is at most sigma_1.
+    """
+    worst_sigma = worst_lam = 0.0
+    for a, tubes, sigma1 in images():
+        report, p = singular_values(a), a.shape[2]
+        scale = km_bound(a.shape) * EPS * sigma1
+        want = np.sort(np.abs(tubes), axis=None)[::-1]
+        worst_sigma = max(worst_sigma, float(np.abs(report.singular_values - want).max() / scale))
+        lam = np.sqrt((tubes * tubes).sum(axis=1))
+        lam_bound = (km_bound(a.shape) + p) * EPS * sigma1
+        worst_lam = max(worst_lam, float(np.abs(report.t_singular_values - lam).max() / lam_bound))
+    assert worst_sigma <= 1, f"singular values: error {worst_sigma:.3g} times the bound"
+    assert worst_lam <= 1, f"tube norms: error {worst_lam:.3g} times the bound"
+
+
+def test_best_trank_one_norm_against_jacobi(kernel_route):
+    """| ||best_trank_one(a)||_F - S(a)_111 | is at most
+    (km_bound + 2 * max(m, n) + 2 * (1 + ceil(log2 p)) + m*n*p / 2 + 5) * eps * sigma_1.
+
+    In exact arithmetic every transform slice of the result is S(a)_111
+    times u v^H, u and v unit vectors, so its norm is S(a)_111.  The computed
+    S(a)_111 is within the image's bound; u and v are unit to max(m, n) * eps
+    each; the two products of an entry round about 4 times; the inverse FFT
+    adds about 2 * (1 + log2 p) roundings; and the norm, a sum of m*n*p
+    squares, is relative to its value within about (m*n*p / 2 + 1) * eps.
+    S(a)_111, a mean of the slices' largest singular values, is at most sigma_1.
+    """
     worst = 0.0
     for a, tubes, sigma1 in images():
         m, n, p = a.shape
-        r = min(m, n)
-        got = km_mapping(a)[np.arange(r), np.arange(r)]
-        c_bound = max(m, n) + 2 * (1 + math.ceil(math.log2(p)))
-        worst = max(worst, float(np.abs(got - tubes).max() / (c_bound * EPS * sigma1)))
+        c_bound = (km_bound(a.shape) + 2 * max(m, n) + 2 * (1 + math.ceil(math.log2(p)))
+                   + m * n * p / 2 + 5)
+        error = abs(frobenius_norm(best_trank_one(a)) - tubes[0, 0])
+        worst = max(worst, float(error / (c_bound * EPS * sigma1)))
+    assert worst <= 1, f"error {worst:.3g} times its bound"
+
+
+@functools.cache
+def inverses():
+    """200 square tensors a = (g + 4 * sqrt(n p) * I) * 2**k, g Gaussian, with
+    the condition number kappa of their transform slices taken together: the
+    largest singular value of any slice over the smallest of any.  Each slice
+    of g has norm about 2 * sqrt(n p), so kappa stays near 3."""
+    cases = []
+    for seed in range(200):
+        rng = np.random.default_rng(1000 + seed)
+        n, p = int(rng.integers(1, 9)), int(rng.integers(1, 10))
+        k = int(rng.integers(-40, 41))
+        shift = 4 * math.sqrt(n * p) * identity_tensor(n, p)
+        a = np.ldexp(rng.standard_normal((n, n, p)) + shift, k)
+        sigma = oracle.slice_singular_values(a)
+        cases.append((a, float(sigma.max() / sigma.min())))
+    return cases
+
+
+def test_tinverse_against_the_identity(kernel_route):
+    """Every entry of a * tinverse(a) - I, the product in long double, is at
+    most (3 * n + 2 * (1 + ceil(log2 p)) * sqrt(n p)) * eps * kappa.
+
+    Each slice's inverse is V diag(1/sigma) U^H from a backward-stable SVD
+    of the slice plus a backward error E, ||E||_2 about n * eps * sigma_max,
+    and with U and V unitary to about n * eps; so the slice's residual
+    A X - I is at most about 3 * n * eps * kappa (-E X, the factors'
+    orthogonality, and forming X).  The forward FFT of a and the inverse FFT
+    of the result err by about (1 + log2 p) * eps times the Frobenius norm
+    over all slices, at most sqrt(n p) times one slice's 2-norm, and each
+    such error times the other factor adds eps * kappa times that.  Every
+    entry of the residual is a mean over the slices' residuals.
+    """
+    worst = 0.0
+    for a, kappa in inverses():
+        n, _, p = a.shape
+        residual = oracle.tprod(a, tinverse(a)) - identity_tensor(n, p)
+        c_bound = 3 * n + 2 * (1 + math.ceil(math.log2(p))) * math.sqrt(n * p)
+        worst = max(worst, float(np.abs(residual).max() / (c_bound * EPS * kappa)))
     assert worst <= 1, f"error {worst:.3g} times its bound"
 
 

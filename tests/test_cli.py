@@ -1,7 +1,9 @@
 import dataclasses
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -297,6 +299,14 @@ class TestVerifyCommand:
         # S(a) once, then S(b) per trial.
         assert made["orthogonal_invariance"] - made["sigma1_bound"] == trials + 1
 
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_unreadable_input_reported_before_a_negative_flag(self, tmp_path, capsys, flag):
+        # The driver reads every input before the subcommand checks its flags.
+        missing = str(tmp_path / "nope.tensor")
+        code, out, err = run_cli(["verify", missing, flag, "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"tsvdkit: error: [Errno 2] No such file or directory: {missing!r}\n"
+
     def test_deterministic_output(self, fixture_file, capsys):
         code1, out1, _ = run_cli(["verify", fixture_file, "--seed", "9"], capsys)
         code2, out2, _ = run_cli(["verify", fixture_file, "--seed", "9"], capsys)
@@ -388,6 +398,85 @@ def test_overflowing_run_writes_and_prints_nothing(tmp_path, capsys, command):
     assert err.startswith("tsvdkit: numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")  # one line per failure
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_transform_lapack_cannot_factor_exits_numerical(tmp_path, capsys):
+    # The transform's sums over the tube overflow: an overflow, not a failure
+    # of LAPACK's SVD to converge.
+    path = tmp_path / "big.tensor"
+    write_tensor(path, np.full((3, 2, 4), 1.5e308))
+    code, out, err = run_cli(["rank", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("tsvdkit: numerical failure: the largest transform entry is nan: "
+                   "the result overflowed float64; rescale the input\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_target_is_written_in_place(tmp_path, capsys):
+    a = np.random.default_rng(5).standard_normal((8, 8, 6))
+    pa, want = tmp_path / "a.tensor", tmp_path / "want.tensor"
+    write_tensor(pa, a)
+    write_tensor(want, tprod(a, a))
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, _ = run_cli(["tprod", str(pa), str(pa), "--out", str(fifo)], capsys)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0
+    assert parse_report(out)["out"] == str(fifo)
+    assert received == [want.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["a.tensor", "out.fifo", "want.tensor"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_stdout_target_is_written_in_place(tmp_path):
+    # Through a pipe: the file's text, then the report.
+    a = np.random.default_rng(5).standard_normal((3, 3, 4))
+    pa, want = tmp_path / "a.tensor", tmp_path / "want.tensor"
+    write_tensor(pa, a)
+    write_tensor(want, tprod(a, a))
+    argv = ["tprod", str(pa), str(pa), "--out", "/dev/stdout"]
+    proc = subprocess.run([sys.executable, "-m", "tsvdkit.cli", *argv],
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    text = want.read_bytes()
+    assert proc.stdout.startswith(text)
+    assert parse_report(proc.stdout[len(text):].decode())["out"] == "/dev/stdout"
+    assert sorted(os.listdir(tmp_path)) == ["a.tensor", "want.tensor"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_failed_write_in_place_replaces_no_target(tmp_path, fixture_file, capsys, monkeypatch):
+    # A target that is no regular file is written after every temporary file
+    # and before any replace, so its failure leaves the other targets as they were.
+    prefix = str(tmp_path / "fac")
+    for suffix in ".u", ".v":
+        with open(prefix + suffix, "w", encoding="utf-8") as fh:
+            fh.write(f"earlier {suffix}\n")
+    os.mkfifo(prefix + ".s")
+    before = {name: (tmp_path / name).read_bytes() for name in ("fac.u", "fac.v")}
+    listing = sorted(os.listdir(tmp_path))
+    writes = []
+
+    def write_or_fail(path, a):
+        writes.append(os.path.basename(path))
+        if path == prefix + ".s":
+            raise OSError(32, "Broken pipe")
+        return write_tensor(path, a)
+
+    monkeypatch.setattr(cli, "write_tensor", write_or_fail)
+    code, out, err = run_cli(["tsvd", fixture_file, "--out", prefix], capsys)
+    assert (code, out) == (2, "")
+    assert err == "tsvdkit: error: [Errno 32] Broken pipe\n"
+    pid = os.getpid()
+    assert writes == [f"fac.u.{pid}.tmp", f"fac.v.{pid}.tmp", "fac.s"]
+    assert {name: (tmp_path / name).read_bytes() for name in ("fac.u", "fac.v")} == before
+    assert sorted(os.listdir(tmp_path)) == listing
+    assert stat.S_ISFIFO(os.stat(prefix + ".s").st_mode)
 
 
 def test_directory_target_fails_before_any_replace(tmp_path, fixture_file, capsys):

@@ -1,7 +1,7 @@
 """Repository checks: every script under demos/ runs to completion, the
 package imports nothing beyond numpy and the standard library and no name it
 never uses, it exports each module's public names once, only the CLI's driver
-writes files and prints reports, only `core._finite` raises a bare
+reads and writes files and prints reports, only `core._finite` raises a bare
 ArithmeticError, only `core._circulant` builds a hand-strided array, and it
 reads tensor files in one pass."""
 
@@ -101,11 +101,12 @@ def test_only_spectral_reaches_the_kernels():
 
 
 def test_only_the_cli_driver_writes_and_prints():
-    # The subcommands return their outputs and report; `_run` writes and
+    # `_run` reads the input files and hands the subcommand their tensors;
+    # the subcommands return their outputs and report, and `_run` writes and
     # prints them once the subcommand has returned, so a failing run leaves
     # no file, and `main` prints only errors.
     tree = ast.parse((ROOT / "src" / "tsvdkit" / "cli.py").read_text(encoding="utf-8"))
-    owners = {"write_tensor": {"_run"}, "print": {"_run", "main"}}
+    owners = {"read_tensor": {"_run"}, "write_tensor": {"_run"}, "print": {"_run", "main"}}
     named_in = {name: set() for name in owners}
     for top in tree.body:
         for node in ast.walk(top):

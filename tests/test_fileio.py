@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -273,6 +273,42 @@ class TestLongListDiagnostics:
         assert elapsed < 3.0
 
 
+    @pytest.mark.parametrize("entry, message", [
+        # float() reads this as 0.0.
+        ("0." + "0" * 5000 + "1", "entry 2 is not a number: " + repr("0." + "0" * 78) + "..."),
+        ("1" * 4097, "entry 2 is not a number: " + repr("1" * 80) + "..."),
+        ("1" * 4096, "entry 2 is not finite: " + repr("1" * 80) + "..."),
+        ("1" * 400, "entry 2 is not finite: " + repr("1" * 80) + "..."),
+        ("0" * 4095 + "1", None),
+        ("1.5" + " " * 5000, None),
+    ], ids=["0.0...01", "4097 digits", "4096 digits", "400 digits", "4096 digits to 1",
+            "padded"])
+    @pytest.mark.parametrize("chunk", [7, fileio._READ_CHUNK])
+    def test_longest_entry(self, tmp_path, entry, message, chunk):
+        path = self.write_list(tmp_path, ["1.5", entry, "2.5"])
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            got = outcome(lambda: read_tensor(path))
+        want = outcome(lambda: whole_text_parser._parse(path.read_text(), str(path)))
+        assert got == want
+        if message is None:
+            assert got[0] == "tensor"
+        else:
+            assert got == ("error", f"{path}:3: field 'data' {message}")
+
+    @pytest.mark.parametrize("dims", ["[1" + "0" * 4096 + ", 1, 1]", "[1, 1" + " " * 9000 + "]"],
+                             ids=["long", "padded"])
+    def test_longest_dims_entry(self, tmp_path, dims):
+        path = tmp_path / "t.tensor"
+        path.write_text(f"dims = {dims}\ndata = [1.5]\n")
+        got = outcome(lambda: read_tensor(path))
+        assert got == outcome(lambda: whole_text_parser._parse(path.read_text(), str(path)))
+        if "0" in dims:
+            assert got == ("error", f"{path}:1: field 'dims' entry 1 is not an integer: "
+                           + repr("1" + "0" * 79) + "...")
+        else:
+            assert got[0] == "error" and "got 2" in got[1]
+
+
 WRITE_CHUNK = fileio._WRITE_CHUNK
 READ_CHUNK = fileio._READ_CHUNK
 
@@ -335,6 +371,16 @@ class TestChunkBoundaries:
                         + ", ".join(["1.5"] * count) + "]\n")
         assert path.read_text().splitlines()[1][close_at] == "]"
         assert read_tensor(path).ravel().tolist() == [1.5] * count
+
+    def test_written_entries_are_at_most_24_characters(self, tmp_path):
+        # Far inside the 4096 characters a read takes of an entry.
+        values = np.concatenate([-np.abs(varied_values(np.random.default_rng(7), 20_000)),
+                                 EDGE_VALUES, np.negative(EDGE_VALUES)])
+        path = tmp_path / "t.tensor"
+        write_tensor(path, values.reshape(-1, 1, 1))
+        entries = path.read_text().splitlines()[1][len("data = ["):-1].split(", ")
+        assert len(entries) == values.size
+        assert max(map(len, entries)) == 24  # as in -2.2250738585072014e-308
 
     def test_crlf_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "t.tensor"
@@ -456,6 +502,45 @@ class TestChunkBoundaries:
             got = outcome(lambda: read_tensor(path))
         with open(path, encoding="utf-8") as fh:
             want = outcome(lambda: whole_text_parser._parse(fh.read(), str(path)))
+        assert got == want
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 3),
+                                    st.sampled_from(["", ",", "]", "#", " ", "\n", "\x0b",
+                                                     "\x1f", "7" * 40, "0" * 50, "k" * 45,
+                                                     " " * 60, "\n" * 30, "\n  \n"])),
+                          max_size=5),
+           longest=st.sampled_from([80, 81, 90, 130]),
+           chunk=st.sampled_from([1, 3, 16, READ_CHUNK]),
+           convert=st.sampled_from([1, 5, fileio._CONVERT_CHUNK]))
+    # The last entry, 4e-300 and then 7s, as long as the limit and longer,
+    # read one character at a time: the "]" after it arrives before its line
+    # break does, last in a batch, and in the last two with the character
+    # that makes the entry too long.
+    @example(edits=[(69, 0, "7" * 74)], longest=80, chunk=1, convert=1)
+    @example(edits=[(69, 0, "7" * 75)], longest=80, chunk=1, convert=1)
+    @example(edits=[(69, 0, "7" * 76)], longest=80, chunk=1, convert=5)
+    @example(edits=[(69, 0, "7" * 80)], longest=80, chunk=3, convert=7)
+    def test_entry_limit_agrees_with_whole_text_parser(self, tmp_path_factory, edits,
+                                                      longest, chunk, convert):
+        # A smaller entry limit in both parsers, so that long entries, and the
+        # blanks the reader squeezes out of an entry under way, meet every cut.
+        # It stays at least the quote's 80 characters, as the reader's is.
+        text = ("dims = [2, 2, 1]\n"
+                "data = [1.5, -2.0,  # first row\n"
+                "        3.25, 4e-300]\n")
+        for at, cut, insert in edits:
+            at %= len(text) + 1
+            text = text[:at] + insert + text[at + cut:]
+        path = tmp_path_factory.mktemp("fuzz") / "t.tensor"
+        path.write_bytes(text.encode())
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk), \
+                mock.patch.object(fileio, "_CONVERT_CHUNK", convert), \
+                mock.patch.object(fileio, "_LONGEST_ENTRY", longest):
+            got = outcome(lambda: read_tensor(path))
+        with mock.patch.object(whole_text_parser, "LONGEST_ENTRY", longest):
+            want = outcome(lambda: whole_text_parser._parse(text, str(path)))
         assert got == want
 
 
@@ -665,6 +750,37 @@ class TestMemory:
         assert path.stat().st_size > 2_000_000
         assert outcome == [f"{path}:1: {message}"]
         assert len(message) < 200  # beside the file's path
+        assert read_peak < 1 << 20
+
+    @pytest.mark.parametrize("text, message", [
+        ("dims = [1, 1, 1]\ndata = [" + "1" * 2_000_000 + "x]\n",
+         "field 'data' entry 1 is not a number: " + repr("1" * 80) + "..."),
+        # The empty entry outranks a bad one, as in the whole-text grammar.
+        ("dims = [2, 1, 1]\ndata = [" + "1" * 2_000_000 + ", ]\n",
+         "field 'data' has an empty list entry"),
+        ("dims = [2, 1, 1]\ndata = [1.5" + " " * 2_000_000 + "\n" * 50_000 + ", 2]\n", None),
+        ("dims = [2, 1, 1]\ndata = [1.5" + "\n" * 200_000 + ", 2" + " " * 2_000_000 + "]\n",
+         None),
+    ], ids=["long entry", "empty after long", "blanks after an entry", "blank lines"])
+    def test_a_long_entry_is_held_and_quoted_within_a_bound(self, tmp_path, text, message):
+        # An entry of 2,000,000 characters used to be held whole (a 7.7 MiB
+        # peak) and quoted whole.  Blanks around an entry are no part of it.
+        path = tmp_path / "t.tensor"
+        path.write_text(text)
+        outcome = []
+
+        def read():
+            try:
+                outcome.append(read_tensor(path).ravel().tolist())
+            except TensorFormatError as exc:
+                outcome.append(str(exc))
+
+        read_peak = traced_peak(read)
+        if message is None:
+            assert outcome == [[1.5, 2.0]]
+        else:
+            assert outcome == [f"{path}:2: {message}"]
+            assert len(message) < 200
         assert read_peak < 1 << 20
 
     @pytest.mark.parametrize("entries", [100_000, 400_000])

@@ -18,6 +18,7 @@ from tsvdkit import (
     sigma1,
     sigma1_upper_bound_check,
     singular_values,
+    tinverse,
     tprod,
     tprod_direct,
     transpose,
@@ -446,6 +447,20 @@ class TestOverflowedSpectrum:
             with np.errstate(over="ignore"), pytest.raises(ArithmeticError,
                                                            match="overflowed float64"):
                 call(a)
+
+    @pytest.mark.parametrize("call", [
+        singular_values, sigma1, lambda a: km_equal(a, a), km_mapping, best_trank_one,
+        lambda a: tinverse(a[:2]),
+    ], ids=["singular_values", "sigma1", "km_equal", "km_mapping", "best_trank_one",
+            "tinverse"])
+    def test_transform_lapack_cannot_factor(self, call, kernel_route):
+        # The sums over the tube overflow to inf and NaN, which LAPACK's SVD
+        # cannot factor: that is an overflow, not a failure to converge.
+        a = np.full((3, 2, 4), 1.5e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match="^the largest transform entry is nan: "
+                                       "the result overflowed float64"):
+            call(a)
 
     def test_answers_just_below(self):
         for a in overflowing_tensors():

@@ -139,6 +139,17 @@ class TestTprodRoute:
         a = overflowing_tensors()[1]
         assert same_bits(self.spatial(transforms, a, identity_tensor(4, 5)), a)
 
+    def test_transform_route_refuses_an_overflowed_product(self, transforms):
+        # The true product is `stacked` written out 5 times side by side, and
+        # finite; the transform route's sums over the tube are not.
+        stacked = np.concatenate([overflowing_tensors()[1]] * 8)
+        identities = np.concatenate([identity_tensor(4, 5)] * 5, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match=r"^the largest entry of the product is (inf|nan): "
+                                       "the result overflowed float64"):
+            tprod(stacked, identities)
+        assert len(transforms) == 2
+
 
 class TestTprodDirect:
     def test_zero_annihilates(self, rng):

@@ -12,8 +12,11 @@ import numpy as np
 
 from tsvdkit import TensorFormatError
 
-# Characters of a line, or of a field's name, that a message quotes.
+# Characters of a line, of a field's name, or of a list entry that a message
+# quotes.
 SHOWN = 80
+# Characters of a list entry beyond which it is not a number.
+LONGEST_ENTRY = 4096
 
 
 def _shown(text):
@@ -23,8 +26,9 @@ def _shown(text):
 
 def _numeral(convert, tok):
     # int() and float() also read Python-only numerals, with digit-group
-    # underscores or non-ASCII digits; the format takes ASCII ones only.
-    if "_" in tok or not tok.isascii():
+    # underscores or non-ASCII digits; the format takes ASCII ones only, and
+    # none longer than LONGEST_ENTRY.
+    if len(tok) > LONGEST_ENTRY or "_" in tok or not tok.isascii():
         raise ValueError(tok)
     return convert(tok)
 
@@ -37,7 +41,7 @@ def _parse_ints(tokens, source, lineno):
         except ValueError:
             raise TensorFormatError(
                 f"{source}:{lineno}: field 'dims' entry {idx + 1} is not an "
-                f"integer: {tok!r}"
+                f"integer: {_shown(tok)}"
             ) from None
     return out
 
@@ -67,12 +71,12 @@ def _parse_floats(tokens, source, lineno):
         except ValueError:
             raise TensorFormatError(
                 f"{source}:{lineno}: field 'data' entry {idx + 1} is not a "
-                f"number: {tok!r}"
+                f"number: {_shown(tok)}"
             ) from None
         if not np.isfinite(out[idx]):
             raise TensorFormatError(
                 f"{source}:{lineno}: field 'data' entry {idx + 1} is not "
-                f"finite: {tok!r}"
+                f"finite: {_shown(tok)}"
             )
     return out
 
