@@ -6,7 +6,8 @@ path, the report as ``(key, value)`` pairs, and the exit code.  ``_run``
 alone reads the inputs, writes the files and prints the report, after the
 subcommand has returned.  A run that fails therefore prints no report and
 leaves every output that is a regular file as it was, as those are replaced
-atomically; a FIFO or a device, which cannot be, is written in place.
+atomically; a FIFO, a device or stdout's file, which cannot be, is written
+in place.
 
 Reports are printed one ``key = value`` pair per line with 17 significant
 digits.  Exit codes: 0 success, 2 usage or file-format violation, 3 numerical
@@ -171,28 +172,37 @@ def _run(args):
     write has succeeded and no target is a directory; so a run that fails, in
     the subcommand or in a write, leaves every such target as it was and
     prints no report.  A target that exists and is no regular file, such as a
-    FIFO or a device, cannot be replaced without losing what it is: it is
-    written in place, after every temporary file and before any replace.
+    FIFO or a device, cannot be replaced without losing what it is, nor can
+    stdout's file, whatever it is, without losing the report, which fd 1 would
+    print to the replaced file: such a target is written in place, stdout's
+    through fd 1 so that the report follows the tensor, after every temporary
+    file and before any replace.
     """
     tensors = [read_tensor(getattr(args, name)) for name in args.inputs]
     outputs, report, code = args.func(args, *tensors)
+    try:
+        stdout = os.fstat(1)
+    except OSError:  # fd 1 closed: no target is stdout's file
+        stdout = None
     temps, in_place = {}, {}
     try:
         for path, tensor in outputs.items():
             try:
-                mode = os.stat(path).st_mode  # of what a symlink names
+                st = os.stat(path)  # of what a symlink names
             except OSError:  # no such file yet; a fault shows in the temporary's write
-                mode = stat.S_IFREG
-            if stat.S_ISDIR(mode):
+                st = None
+            if st is not None and stdout is not None and os.path.samestat(st, stdout):
+                in_place[1] = tensor  # fd 1, which a path names
+            elif st is None or stat.S_ISREG(st.st_mode):
+                target = os.path.realpath(path)  # a symlink is written through, as open() does
+                temps[target] = temp = f"{target}.{os.getpid()}.tmp"
+                write_tensor(temp, tensor)
+            elif stat.S_ISDIR(st.st_mode):
                 raise IsADirectoryError(f"{path} is a directory")
-            if not stat.S_ISREG(mode):
+            else:
                 in_place[path] = tensor
-                continue
-            target = os.path.realpath(path)  # a symlink is written through, as open() does
-            temps[target] = temp = f"{target}.{os.getpid()}.tmp"
-            write_tensor(temp, tensor)
-        for path, tensor in in_place.items():
-            write_tensor(path, tensor)
+        for target, tensor in in_place.items():
+            write_tensor(os.dup(1) if target == 1 else target, tensor)
         for target, temp in temps.items():
             os.replace(temp, target)
     finally:

@@ -32,13 +32,16 @@ when `data` comes before `dims`).  Entries are converted in batches: once 4 Ki
 characters of them have arrived since the last batch, everything up to the
 last comma is converted and the rest carried over.  So a batch is at most one
 piece plus what was held before it: under 4 Ki characters, and the entry
-under way.  That entry is held in at most 8 Ki characters: once it is
-longer than 4096 as the grammar reads it, it is refused and no more of it is
-held, and until then its finished lines are held joined as the grammar joins
-them, so the blanks the grammar drops are dropped.  A 2,000,000-character
-entry peaks at 0.38 MiB (tracemalloc).  For short entries a batch is some
-20,000 entry strings at once: a `dims` that lists 100,000 entries ``40``
-(a 0.38 MiB file) peaks at about 1.4 MiB, as does one four times as long.
+under way.  The read sees the text as the grammar joins it: each line with
+its leading and trailing blanks dropped and one space before it, and of a
+run of blanks that spans pieces, or that comes before a ``]`` that may end
+the field, at most 4097 characters, as more make an entry too long either
+way.  So the entry under way is held stripped, in at most 8 Ki characters:
+once it is longer than 4096, it is refused and no more of it is held.  A
+2,000,000-character entry peaks at 0.47 MiB (tracemalloc).  For short entries
+a batch is some 20,000 entry strings at once: a `dims` that lists 100,000
+entries ``40`` (a 0.38 MiB file) peaks at about 1.45 MiB, as does one four
+times as long.
 The bound holds also when a field runs on past its line, as a `dims` that
 lacks its ``]`` runs on through `data`: `dims` keeps three entries and only
 counts the rest.  A malformed file is reported from that same pass, with
@@ -46,12 +49,14 @@ its line number and, for a bad list entry, the entry's index and text.  A
 message quotes at most 80 characters of a line that is no field, of an
 unknown field's name, stripped, or of a bad list entry, and marks a cut with
 ``...`` after the quote; the read holds no more of such a line than that and
-one piece, so a 2 MB line with no ``=`` peaks at 0.28 MiB (tracemalloc).
+one piece, so a 2 MB line with no ``=`` peaks at 0.32 MiB (tracemalloc).
 The first fault the pass meets is the one reported: a line that is no
 `key = value` field, or names an unknown or repeated one, at that line; a
 byte that is not UTF-8 when the decoder, which reads up to 64 Ki characters
 ahead, reaches it; the other faults after the last line.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -81,21 +86,16 @@ class TensorFormatError(ValueError):
     """A tensor file violates the dims/data format."""
 
 
-def _numeral(convert, tok):
-    # int() and float() also read Python-only numerals, with digit-group
-    # underscores or non-ASCII digits; the format takes ASCII ones only, and
-    # none longer than `_LONGEST_ENTRY`.
-    if len(tok) > _LONGEST_ENTRY or "_" in tok or not tok.isascii():
-        raise ValueError(tok)
-    return convert(tok)
-
-
-def _parts_short(text):
-    """True if no comma-separated part of `text` is longer than
-    `_LONGEST_ENTRY`.  Each window of `_LONGEST_ENTRY` + 1 characters from a
-    part's start is searched for its last comma, where the next window
-    starts: a few searches a batch, where measuring every part would take a
-    Python step per entry."""
+def _plain(text):
+    """True if `text` is ASCII without "_" and no comma-separated part of it
+    is longer than `_LONGEST_ENTRY`.  int() and float() also read Python-only
+    numerals, with digit-group underscores or non-ASCII digits; the format
+    takes ASCII ones only, and none longer than `_LONGEST_ENTRY`.  Each window
+    of `_LONGEST_ENTRY` + 1 characters from a part's start is searched for
+    its last comma, where the next window starts: a few searches a batch,
+    where measuring every part would take a Python step per entry."""
+    if not text.isascii() or "_" in text:
+        return False
     start = 0
     while len(text) - start > _LONGEST_ENTRY:
         start = text.rfind(",", start, start + _LONGEST_ENTRY + 1) + 1
@@ -104,36 +104,35 @@ def _parts_short(text):
     return True
 
 
-def _head(head, text):
-    """`head`, the start of a line with its leading blanks dropped, extended
-    by the line's next piece `text`.  It keeps `_SHOWN` characters and then
-    the first non-blank one after them, if any: so its strip() is the whole
-    stripped line, or that line's first `_SHOWN` characters and one more."""
-    head = (head + text).lstrip()
-    if len(head) > _SHOWN:
-        head = head[:_SHOWN] + head[_SHOWN:].lstrip()[:1]
-    return head
-
-
 def _shown(text):
     """`text` quoted for a message: cut to `_SHOWN` characters, and marked
     with "..." after the quote where it was cut."""
     return repr(text) if len(text) <= _SHOWN else repr(text[:_SHOWN]) + "..."
 
 
-def _joined(text):
-    """An entry's text as the grammar reads it: its lines, each stripped,
-    blank ones dropped, joined by one space."""
-    return " ".join(line for line in map(str.strip, text.split("\n")) if line)
-
-
-def _segments(fh):
+def _lines(fh):
     """Yield (text, ends_line) for the lines str.splitlines would split the
-    file into, in pieces of at most `_READ_CHUNK` characters without breaks."""
+    file into, in pieces of at most `_READ_CHUNK` characters without breaks,
+    as the grammar joins them: a line's leading and trailing blanks dropped,
+    and each non-blank line started with the one space that joins it to the
+    line before.  So a piece is empty or ends in a non-blank character.  The
+    blanks that end a piece are held back until the line goes on, at most
+    `_LONGEST_ENTRY` + 1 of them: more make an entry too long either way, and
+    each quote and name takes fewer."""
+    held = None  # the blanks held back; None until the line has a non-blank
     for piece in iter(lambda: fh.read(_READ_CHUNK), ""):
         for part in piece.splitlines(keepends=True):
+            text = part.rstrip()  # a break is a blank too
+            if text:
+                text = " " + text.lstrip() if held is None else held + text
             ends_line = part[-1] in _BREAKS
-            yield (part[:-1] if ends_line else part), ends_line
+            if ends_line:
+                held = None
+            elif text:  # the piece's last part, and its line goes on
+                held = part[len(part.rstrip()) :][: _LONGEST_ENTRY + 1]
+            elif held is not None:
+                held = (held + part)[: _LONGEST_ENTRY + 1]
+            yield text, ends_line
     # End a last line that has no break; after one that has, this adds a
     # blank line, which the grammar ignores.
     yield "", True
@@ -172,11 +171,11 @@ class _Entries:
                     pass
 
     def feed(self, text, ends_line):
-        """Take the next piece of the field's text, comment cut; True once the
-        field has ended: its line ended, its last non-blank character a "]"."""
-        stripped = text.rstrip()
-        if stripped:
-            self.last = stripped[-1]
+        """Take the next piece of the field's text as `_lines` yields it,
+        comment cut; True once the field has ended: its line ended, its last
+        character a "]"."""
+        if text:
+            self.last = text[-1]
         if self.carry is None:  # before the "["
             text = text.lstrip()
             if not text:
@@ -185,9 +184,7 @@ class _Entries:
                 self.fault, self.rank = f"field {self.key!r} must be a bracketed list", 0
             self.carry, self.held, text = [], 0, text[1:]
         ends = ends_line and self.last == "]"
-        if ends_line:
-            text += "\n"
-        if self.rank != 0:
+        if self.rank != 0 and text:
             # `carry` holds the pieces not taken yet, `held` characters of them
             # new since the last batch.  Once `_CONVERT_CHUNK` are, and the
             # field goes on, they are taken up to the last comma, and the
@@ -203,7 +200,7 @@ class _Entries:
         if not ends:
             return False
         if self.rank != 0:
-            tail = "".join(self.carry).rstrip()[:-1]  # the entry before the "]"
+            tail = "".join(self.carry)[:-1]  # the entry before the "]"
             if self.count or tail.strip():
                 self._take(tail)
         if self.key == "dims" and self.rank is None:
@@ -219,35 +216,31 @@ class _Entries:
         rest of the field follows.
 
         An entry already longer than `_LONGEST_ENTRY` as the grammar reads it
-        is refused, and "0" stands for it until it ends.  Else its finished
-        lines are joined as the grammar joins them, and of its last line the
-        leading blanks are dropped and at most `_LONGEST_ENTRY` + 1 trailing
-        ones kept: more text on that line makes the entry too long either way.
+        is refused, and "0" stands for it until it ends.  Else its leading
+        blanks are dropped.  A "]" that ends the text so far ends the field if
+        its line ends next, and is then no part of the entry: so the entry is
+        measured before the blanks that precede the "]", and at most
+        `_LONGEST_ENTRY` + 1 of them are kept, as more text on that line makes
+        the entry too long either way.
         """
         if len(tail) <= _LONGEST_ENTRY:
             return tail
-        entry = _joined(tail)
-        # A "]" that ends the text so far ends the field if only blanks follow
-        # on its line, and is then no part of the entry.  Either way the
-        # entry's first `_SHOWN` characters, all that the quote takes, are
-        # these, as `_LONGEST_ENTRY` >= `_SHOWN`.
-        bracket = "]" if entry.endswith("]") else ""
-        if len(entry) - len(bracket) > _LONGEST_ENTRY:
+        bracket = "]" if tail.endswith("]") else ""
+        tail = tail.lstrip().removesuffix(bracket)
+        entry = tail.rstrip()
+        if len(entry) > _LONGEST_ENTRY:
             if self.rank is None:
                 self.fault = (f"field {self.key!r} entry {self.count + 1} is not "
-                              f"{self.noun}: {_shown(entry.removesuffix(bracket))}")
+                              f"{self.noun}: {_shown(entry)}")
                 self.rank = 2
             return "0" + bracket
-        done, _, line = tail.rpartition("\n")
-        done, line = _joined(done), line.lstrip()
-        line = line[: len(line.rstrip()) + _LONGEST_ENTRY + 1]
-        return f"{done}\n{line}" if done else line
+        return entry + tail[len(entry) :][: _LONGEST_ENTRY + 1] + bracket
 
     def _take(self, body):
         tokens = body.split(",")
         start, self.count = self.count, self.count + len(tokens)
         valid = False
-        if self.rank is None and body.isascii() and "_" not in body and _parts_short(body):
+        if self.rank is None and _plain(body):
             try:
                 values = np.fromiter(map(self.kind, tokens), self.dtype, len(tokens))
             except ValueError:
@@ -260,12 +253,11 @@ class _Entries:
             if self.rank is not None:
                 return
             values = np.empty(len(tokens), self.dtype)
-            for i, tok in enumerate(map(_joined, tokens)):
-                what = "finite"
-                try:
-                    values[i] = _numeral(self.kind, tok)
-                except ValueError:
-                    values[i], what = np.nan, self.noun
+            for i, tok in enumerate(map(str.strip, tokens)):
+                values[i], what = np.nan, self.noun
+                if _plain(tok):
+                    with contextlib.suppress(ValueError):
+                        values[i], what = self.kind(tok), "finite"
                 if not abs(values[i]) < np.inf:  # true of NaN and ±inf, never of an int
                     self.fault = (f"field {self.key!r} entry {start + i + 1} is not {what}: "
                                   f"{_shown(tok)}")
@@ -287,23 +279,28 @@ class _Entries:
 
 
 def _read(fh, source):
-    """Parse a tensor file in one pass, line by line as `_segments` cuts it."""
+    """Parse a tensor file in one pass, line by line as `_lines` yields it."""
     starts, entries = {}, {}  # field -> the line it starts on, and its list
     key = None
     lineno, comment, head = 1, False, ""
-    for text, ends_line in _segments(fh):
+    for text, ends_line in _lines(fh):
         if comment:
             cut = ""
         else:
             cut, hash_, _ = text.partition("#")
-            comment = bool(hash_)
+            if hash_:  # the blanks before it end the line
+                cut, comment = cut.rstrip(), True
         if key is None:
-            # `head` is the start of the line from its first non-blank piece.
-            # No piece before the one whose comment-cut text holds "=" holds
-            # "#" or "=", so the field's name is `head` and that text before "=".
+            # `head` is the line so far, from its first piece whose comment-cut
+            # text is not blank, cut to `_SHOWN` + 2 characters: the space
+            # `_lines` starts it with, and one more than a quote takes.  No
+            # piece before the one whose comment-cut text holds "=" holds "#"
+            # or "=", so the field's name is `head` and that text before "=".
+            # Only the latter is stripped: a cut `head` may end in a blank
+            # that more of the name follows.
             if "=" in cut:
                 name, _, cut = cut.partition("=")
-                key = _head(head, name).strip()
+                key = (head + name.rstrip())[1:]
                 if key not in ("dims", "data"):
                     raise TensorFormatError(
                         f"{source}:{lineno}: unknown field {_shown(key)} "
@@ -313,11 +310,11 @@ def _read(fh, source):
                     raise TensorFormatError(f"{source}:{lineno}: duplicate field {key!r}")
                 starts[key] = lineno
                 entries[key] = _Entries(key, entries.get("dims"))
-            elif head or cut.strip():
-                head = _head(head, text)
+            elif head or cut:
+                head = (head + text)[: _SHOWN + 2]
                 if ends_line:
                     raise TensorFormatError(
-                        f"{source}:{lineno}: expected 'key = value', got {_shown(head.strip())}"
+                        f"{source}:{lineno}: expected 'key = value', got {_shown(head[1:])}"
                     )
         if key is not None and entries[key].feed(cut, ends_line):
             key = None

@@ -449,6 +449,27 @@ def test_stdout_target_is_written_in_place(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["a.tensor", "want.tensor"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("via_dev_stdout", [True, False], ids=["/dev/stdout", "its path"])
+def test_stdout_file_target_is_written_in_place(tmp_path, via_dev_stdout):
+    # stdout redirected to the target's regular file, as `--out out.txt >
+    # out.txt` does: replacing the file would print the report to the old one.
+    a = np.random.default_rng(5).standard_normal((3, 3, 4))
+    pa, want, out = tmp_path / "a.tensor", tmp_path / "want.tensor", tmp_path / "out.txt"
+    write_tensor(pa, a)
+    write_tensor(want, tprod(a, a))
+    target = "/dev/stdout" if via_dev_stdout else str(out)
+    argv = ["tprod", str(pa), str(pa), "--out", target]
+    with open(out, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "tsvdkit.cli", *argv],
+                              stdout=fh, stderr=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    text, got = want.read_bytes(), out.read_bytes()
+    assert got.startswith(text)
+    assert parse_report(got[len(text):].decode())["out"] == target
+    assert sorted(os.listdir(tmp_path)) == ["a.tensor", "out.txt", "want.tensor"]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_failed_write_in_place_replaces_no_target(tmp_path, fixture_file, capsys, monkeypatch):
     # A target that is no regular file is written after every temporary file

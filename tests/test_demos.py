@@ -211,6 +211,36 @@ def test_package_exports_each_module_all_once():
     assert set(namespace) == set(exported)
 
 
+def functions(tree):
+    """Each function of a module, top-level or a method, by its qualified name."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+        elif isinstance(top, ast.FunctionDef):
+            yield top.name, top
+
+
+def test_only_fileio_lines_knows_line_breaks():
+    # `_lines` alone cuts the text into lines and joins them as the grammar
+    # does, so the readers after it hold no line break; `write_tensor`
+    # writes them.
+    tree = ast.parse((ROOT / "src" / "tsvdkit" / "fileio.py").read_text(encoding="utf-8"))
+    splitters, breakers = set(), set()
+    for name, func in functions(tree):
+        doc = func.body[0].value if isinstance(func.body[0], ast.Expr) else None
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute) and node.attr == "splitlines"
+                    or isinstance(node, ast.Name) and node.id == "_BREAKS"):
+                splitters.add(name)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node is not doc and "".join(node.value.splitlines()) != node.value):
+                breakers.add(name)
+    assert splitters == {"_lines"}
+    assert breakers <= {"_lines", "write_tensor"}
+
+
 def test_tensor_files_are_read_in_one_pass():
     # A read that never seeks and never reads a file whole takes any input,
     # pipes included, once and in bounded pieces.

@@ -372,6 +372,37 @@ class TestChunkBoundaries:
         assert path.read_text().splitlines()[1][close_at] == "]"
         assert read_tensor(path).ravel().tolist() == [1.5] * count
 
+    def test_blanks_before_a_closing_bracket_at_a_read_cut(self, tmp_path):
+        # The "]" is the 65,536th character and ends the first read piece;
+        # the blanks before it are no part of the last entry.
+        text = "dims = [2, 1, 1]\ndata = [1.5, 2" + " " * 65504 + "]\n"
+        assert text.index("]", 20) == READ_CHUNK - 1
+        path = tmp_path / "t.tensor"
+        path.write_text(text)
+        assert read_tensor(path).ravel().tolist() == [1.5, 2.0]
+        assert whole_text_parser._parse(text, str(path)).ravel().tolist() == [1.5, 2.0]
+
+    @pytest.mark.parametrize("chunk", [1, 7, READ_CHUNK])
+    @pytest.mark.parametrize("text", [
+        "d{B}ims = [1, 1, 1]\ndata = [1.5]\n",
+        "dims = [1, 1, 1]\nx{B}y\ndata = [1.5]\n",
+        "dims = [1, 1, 1]\ndata = [1{B}2]\n",
+        "dims = [2, 1, 1]\ndata = [1.5{B}, 2]\n",
+        "dims = [2, 1, 1]\ndata = [1.5, 2{B}]\n",
+        "dims = [2, 1, 1]\ndata = [1.5, 2{B}] 3]\n",
+        "dims = [2, 1, 1]\ndata = [1.5{B}# c\n, 2]\n",
+    ], ids=["in a name", "in a line that is no field", "in an entry", "before a comma",
+            "before the closing bracket", "before a bracket inside", "before a comment"])
+    def test_blank_runs_across_read_pieces(self, tmp_path, chunk, text):
+        # A run of blanks that spans read pieces is held to 4097 of them,
+        # which changes no verdict and no quote.
+        text = text.format(B=("\t" + " " * 8 + "\u00a0") * 500)
+        path = tmp_path / "t.tensor"
+        path.write_bytes(text.encode())
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            got = outcome(lambda: read_tensor(path))
+        assert got == outcome(lambda: whole_text_parser._parse(text, str(path)))
+
     def test_written_entries_are_at_most_24_characters(self, tmp_path):
         # Far inside the 4096 characters a read takes of an entry.
         values = np.concatenate([-np.abs(varied_values(np.random.default_rng(7), 20_000)),
@@ -481,6 +512,7 @@ class TestChunkBoundaries:
                                                      "\x85", "nan", "1e999", "_", "-",
                                                      "7", "dims = [1, 2, 2]",
                                                      "data = [", "# ]\n", "\u3000",
+                                                     "\t", "\u00a0",
                                                      "\n\n", "dims = [1, 2",
                                                      "k" * 90, " " * 90])),
                           max_size=4),
@@ -522,6 +554,8 @@ class TestChunkBoundaries:
     @example(edits=[(69, 0, "7" * 75)], longest=80, chunk=1, convert=1)
     @example(edits=[(69, 0, "7" * 76)], longest=80, chunk=1, convert=5)
     @example(edits=[(69, 0, "7" * 80)], longest=80, chunk=3, convert=7)
+    # More blanks than the limit between the last entry and its "]".
+    @example(edits=[(69, 0, " " * 90)], longest=80, chunk=1, convert=1)
     def test_entry_limit_agrees_with_whole_text_parser(self, tmp_path_factory, edits,
                                                       longest, chunk, convert):
         # A smaller entry limit in both parsers, so that long entries, and the
