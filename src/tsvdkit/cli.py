@@ -196,7 +196,12 @@ def _run(args):
             elif st is None or stat.S_ISREG(st.st_mode):
                 target = os.path.realpath(path)  # a symlink is written through, as open() does
                 temps[target] = temp = f"{target}.{os.getpid()}.tmp"
-                write_tensor(temp, tensor)
+                try:
+                    write_tensor(temp, tensor)
+                except OSError as exc:
+                    if exc.filename is not None:  # the temporary's name, which the user never gave
+                        exc.filename = path
+                    raise
             elif stat.S_ISDIR(st.st_mode):
                 raise IsADirectoryError(f"{path} is a directory")
             else:

@@ -144,7 +144,8 @@ def complex_svd(d):
     The entries must be finite, else ValueError.  LAPACK's SVD, with the real
     driver when the imaginary part is all zero so that exactly real input
     yields exactly real factors.  Singular values are non-increasing and each
-    left column's first significant entry is made real nonnegative.
+    left column's first significant entry, the first of modulus above 1e-8,
+    is made real nonnegative.
     """
     d = _array(d, 2, "matrix", dtype=complex)
     if not d.imag.any():

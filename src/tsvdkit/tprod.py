@@ -94,18 +94,20 @@ def tprod_direct(a, b):
 
 
 def is_orthogonal(q, tol=1e-10):
-    """True iff q^T * q and q * q^T are both within `tol` of the identity."""
+    """True iff q^T * q is within `tol` of the identity in Frobenius norm.
+
+    An orthogonal tensor satisfies q^T * q = q * q^T = identity, but for
+    square frontal slices one half suffices: in each transform slice Q, the
+    Hermitian matrices Q^H Q - I and Q Q^H - I have the same eigenvalues
+    sigma_i**2 - 1, hence equal Frobenius norms, and by Parseval so do the
+    tensors q^T * q - identity and q * q^T - identity (in exact arithmetic).
+    """
     _check_tol(tol)
     q = as_tensor(q)
     n, n2, p = q.shape
     if n != n2:
         raise ValueError(f"orthogonality needs square frontal slices, got {n}x{n2}")
-    qt = transpose(q)
-    ident = identity_tensor(n, p)
-    return (
-        frobenius_norm(tprod(qt, q) - ident) <= tol
-        and frobenius_norm(tprod(q, qt) - ident) <= tol
-    )
+    return frobenius_norm(tprod(transpose(q), q) - identity_tensor(n, p)) <= tol
 
 
 def random_orthogonal(n, p, seed):

@@ -279,6 +279,52 @@ class TestVerifyCommand:
             assert frobenius_norm(partner) == pytest.approx(norm_a, rel=1e-12)
             np.testing.assert_allclose(total - partner, a, rtol=0, atol=1e-14 * c)
 
+    @pytest.mark.parametrize("error, passes", [(1e-9, True), (1e-7, False)])
+    def test_invariance_gate_is_1e_8(self, tmp_path, capsys, monkeypatch, error, passes):
+        # An f-diagonal tensor held in its first frontal slice is its own
+        # image, so S(b) off by `error` there is off by `error` relative.
+        a = np.zeros((3, 4, 5))
+        a[[0, 1, 2], [0, 1, 2], 0] = [3.0, 2.0, 1.0]
+        path = tmp_path / "a.tensor"
+        write_tensor(path, a)
+        true_km_diag = cli._km_diag
+
+        def perturbed_km_diag(x):
+            tubes = true_km_diag(x)
+            if not np.array_equal(x, a):  # S(b), not S(a)
+                tubes[:, 0] *= 1 + error
+            return tubes
+
+        monkeypatch.setattr(cli, "_km_diag", perturbed_km_diag)
+        code, out, _ = run_cli(["verify", str(path), "--trials", "3"], capsys)
+        report = parse_report(out)
+        assert code == (0 if passes else 3)
+        assert report["orthogonal_invariance"] == ("pass" if passes else "fail")
+        assert report["subadditivity"] == "pass"
+
+    @pytest.mark.parametrize("excess, passes", [(1e-10, True), (1e-8, False)])
+    def test_subadditivity_slack_is_1e_9(self, tmp_path, capsys, monkeypatch, excess, passes):
+        a = np.random.default_rng(3).standard_normal((4, 3, 4))
+        path = tmp_path / "r.tensor"
+        write_tensor(path, a)
+        true_sigma1 = cli.sigma1
+        calls = []
+
+        def inflated_sigma1(x):
+            # sigma1(a) once, then sigma1(a + partner) and sigma1(partner) per
+            # trial: each sum exceeds its bound by `excess` relative.
+            calls.append(x)
+            if len(calls) % 2:
+                return true_sigma1(x)
+            return (true_sigma1(a) + true_sigma1(x - a)) * (1 + excess)
+
+        monkeypatch.setattr(cli, "sigma1", inflated_sigma1)
+        code, out, _ = run_cli(["verify", str(path), "--trials", "3"], capsys)
+        report = parse_report(out)
+        assert code == (0 if passes else 3)
+        assert report["orthogonal_invariance"] == "pass"
+        assert report["subadditivity"] == ("pass" if passes else "fail")
+
     def test_image_of_the_input_is_taken_once(self, monkeypatch):
         a = np.random.default_rng(3).standard_normal((4, 3, 4))
         calls = []
@@ -535,6 +581,39 @@ def test_failed_write_leaves_every_target_as_it_was(tmp_path, fixture_file, caps
     assert "No space left on device" in err
     assert len(writes) == 2
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+@pytest.mark.parametrize("command", ["tprod", "tsvd"])
+def test_missing_directory_names_the_target(tmp_path, fixture_file, capsys, monkeypatch,
+                                            command):
+    # The error names the target as given, not the temporary file beside it.
+    monkeypatch.chdir(tmp_path)
+    argv, target = {
+        "tprod": (["tprod", fixture_file, fixture_file, "--out", "nodir/out.tensor"],
+                  "nodir/out.tensor"),
+        "tsvd": (["tsvd", fixture_file, "--out", "nodir/fac"], "nodir/fac.u"),
+    }[command]
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"tsvdkit: error: [Errno 2] No such file or directory: '{target}'\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_closed_stdout_target_is_named(tmp_path):
+    # With fd 1 closed, /dev/stdout names no file; the error names it, not a
+    # temporary file beside the path it resolves to.
+    a = np.random.default_rng(5).standard_normal((3, 3, 4))
+    pa = tmp_path / "a.tensor"
+    write_tensor(pa, a)
+    script = 'exec "$0" -m tsvdkit.cli tprod "$1" "$1" --out /dev/stdout >&-'
+    proc = subprocess.run(["sh", "-c", script, sys.executable, str(pa)],
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"tsvdkit: error: [Errno ")
+    assert proc.stderr.endswith(b": '/dev/stdout'\n")
+    assert sorted(os.listdir(tmp_path)) == ["a.tensor"]
 
 
 def test_lapack_failure_exits_numerical(fixture_file, capsys, svd_fails):

@@ -201,6 +201,19 @@ class TestSingularValues:
                 frobenius_norm(a) ** 2, rel=1e-9
             )
 
+    @pytest.mark.parametrize("factor, rank", [(2.0, 2), (0.25, 1)])
+    def test_default_gate_carries_the_factor_p(self, factor, rank):
+        # An f-diagonal tensor held in its first frontal slice, with
+        # nonnegative entries, is its own image: its second singular value
+        # sits at `factor` times the gate eps * max(m, n) * p * sigma_1.
+        m, n, p = 3, 2, 16
+        gate = np.finfo(float).eps * max(m, n) * p
+        a = np.zeros((m, n, p))
+        a[0, 0, 0], a[1, 1, 0] = 1.0, factor * gate
+        report = singular_values(a)
+        assert report.threshold == pytest.approx(gate, rel=1e-12)
+        assert (report.t_rank, report.tubal_rank) == (rank, rank)
+
     def test_rejects_negative_tol(self, rng):
         with pytest.raises(ValueError, match=">= 0"):
             singular_values(random_tensor(rng), tol=-1.0)
@@ -388,6 +401,14 @@ class TestSigma1Bound:
         monkeypatch.setattr(kmsvd, "sigma1", lambda x: 0.9 * true_sigma1(x))
         assert not sigma1_upper_bound_check(a)
 
+    @pytest.mark.parametrize("shortfall, passes", [(1e-11, True), (1e-9, False)])
+    def test_slack_is_1e_10(self, monkeypatch, shortfall, passes):
+        a = np.zeros((3, 4, 5))
+        a[2, 1, 3] = -2.5  # sigma_1 equals the entry's magnitude
+        true_sigma1 = kmsvd.sigma1
+        monkeypatch.setattr(kmsvd, "sigma1", lambda x: (1 - shortfall) * true_sigma1(x))
+        assert sigma1_upper_bound_check(a) is passes
+
     def test_subadditivity(self, rng):
         for _ in range(20):
             m, n, p = 4, 3, 4
@@ -434,6 +455,12 @@ class TestKmEqual:
 
     def test_zero_tensors_equal(self):
         assert km_equal(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), tol=1e-15)
+
+    @pytest.mark.parametrize("tol, equal", [(0.6, True), (0.4, False)])
+    def test_gate_is_against_the_larger_norm(self, rng, tol, equal):
+        # ||S(a) - S(2a)||_F is ||S(a)||_F: half of the larger norm, all of the smaller.
+        a = rng.standard_normal((3, 3, 2))
+        assert km_equal(a, 2.0 * a, tol=tol) is equal
 
 
 class TestOverflowedSpectrum:

@@ -130,6 +130,19 @@ class TestIdft:
     def test_zero_spectrum_passes(self):
         assert not idft_mode3(np.zeros((2, 2, 3), dtype=complex)).any()
 
+    @pytest.mark.parametrize("residue, real", [(1e-9, True), (1e-7, False)])
+    def test_residue_gate_is_against_the_largest_modulus(self, residue, real):
+        # 128 entries of modulus 1: a residue of 1e-7 is over 1e-8 of their
+        # largest modulus, though under 1e-8 of their sum.
+        x = np.ones((4, 4, 8), dtype=complex)
+        x[1, 2, 3] += residue * 1j
+        spec = np.fft.fft(x, axis=2)
+        if real:
+            np.testing.assert_allclose(idft_mode3(spec), x.real, rtol=0, atol=1e-14)
+        else:
+            with pytest.raises(ValueError, match="conjugate symmetry"):
+                idft_mode3(spec)
+
 
 class TestComplexSvd:
     def test_diagonal_matrix(self):
@@ -212,6 +225,18 @@ class TestComplexSvd:
             lead = col[np.abs(col) > 1e-8][0]
             assert abs(lead.imag) <= 1e-12
             assert lead.real > 0
+
+    @pytest.mark.parametrize("first, lead_row", [(1e-7, 0), (1e-9, 1)])
+    def test_first_significant_entry_is_above_1e_8(self, first, lead_row):
+        # The left column of sigma = 3 is (first * 1j, sqrt(1 - first**2), 0)
+        # up to a phase: its first entry leads only if its modulus is above
+        # 1e-8, and the other nonzero entry then ends up a quarter turn away.
+        b = np.sqrt(1 - first**2)
+        u = np.array([[first * 1j, -b, 0], [b, -first * 1j, 0], [0, 0, 1]])
+        col = complex_svd(u * [3.0, 2.0, 1.0]).u[:2, 0]
+        lead, other = col[lead_row], col[1 - lead_row]
+        assert lead.real > 0 and abs(lead.imag) <= 1e-3 * abs(lead)
+        assert abs(other.real) <= 1e-3 * abs(other)
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError, match="matrix"):

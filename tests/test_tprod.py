@@ -438,6 +438,22 @@ class TestTinverse:
         assert info.value.slice_index == 2
         assert info.value.sigma_min <= 1e-12
 
+    @pytest.mark.parametrize("sigma_min, singular", [(1e-5, False), (1e-7, True)])
+    def test_gate_is_against_the_largest_sigma_1(self, sigma_min, singular):
+        # For p = 2 the transform slices are a0 + a1 = diag(1e6, 1) and
+        # a0 - a1 = diag(1, sigma_min).  The gate, 1e-12 times the largest
+        # sigma_1, is 1e-6; the second slice's own sigma_1 would make it 1e-12.
+        d0, d1 = np.diag([1e6, 1.0]), np.diag([1.0, sigma_min])
+        a = np.stack([(d0 + d1) / 2, (d0 - d1) / 2], axis=2)
+        if singular:
+            with pytest.raises(SingularSliceError) as info:
+                tinverse(a)
+            assert info.value.slice_index == 2
+            assert info.value.sigma_min == pytest.approx(sigma_min, rel=1e-6)
+        else:
+            np.testing.assert_allclose(tprod(a, tinverse(a)), identity_tensor(2, 2),
+                                       rtol=0, atol=1e-8)
+
     def test_zero_tensor_singular(self):
         with pytest.raises(SingularSliceError) as info:
             tinverse(np.zeros((2, 2, 3)))
