@@ -143,6 +143,8 @@ def _truncated(u_half, vt_half, diag, s, p):
     s_kept keeps the s largest-magnitude entries of the middle factor's (r, p)
     diagonal tubes `diag`, so slice k of the product is
     ``u_k[:, :r] @ diag(c_k) @ vt_k[:r]``, c being the kept tubes' spectrum.
+    ArithmeticError if an entry of the product is not finite: the inverse
+    transform's sums over the tube can overflow although the product is finite.
     """
     r = diag.shape[0]
     total = p * r
@@ -153,14 +155,16 @@ def _truncated(u_half, vt_half, diag, s, p):
     kept = np.zeros(total)
     kept[keep] = flat[keep]
     c = _rhalf(kept.reshape(p, r).T)
-    return _from_half((u_half[:, :, :r] * c[:, None, :]) @ vt_half[:, :r], p)
+    product = _from_half((u_half[:, :, :r] * c[:, None, :]) @ vt_half[:, :r], p)
+    return _finite(product, "the largest entry of the truncation")
 
 
 def truncate_trank(fac, s):
     """Keep the s largest-magnitude diagonal entries of the middle factor.
 
     Ties are broken by slice-then-row position, ascending, so position
-    (1, 1, 1) always hosts the top value.  Returns u * s_kept * transpose(v).
+    (1, 1, 1) always hosts the top value.  Returns u * s_kept * transpose(v);
+    ArithmeticError if an entry of it is beyond the float64 range.
     """
     u, mid = _conformable(fac.u, fac.s)
     mid, vt = _conformable(mid, np.swapaxes(fac.v, 0, 1))

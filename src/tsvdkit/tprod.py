@@ -88,9 +88,12 @@ def tprod(a, b):
 
 
 def tprod_direct(a, b):
-    """T-product via the literal block circulant product; differential oracle."""
+    """T-product via the literal block circulant product; differential oracle.
+
+    ArithmeticError if an entry of the product is beyond the float64 range.
+    """
     a, b = _conformable(a, b)
-    return fold(bcirc(a) @ unfold(b), a.shape[2])
+    return fold(_finite(bcirc(a) @ unfold(b), "the largest entry of the product"), a.shape[2])
 
 
 def is_orthogonal(q, tol=1e-10):
@@ -101,13 +104,15 @@ def is_orthogonal(q, tol=1e-10):
     Hermitian matrices Q^H Q - I and Q Q^H - I have the same eigenvalues
     sigma_i**2 - 1, hence equal Frobenius norms, and by Parseval so do the
     tensors q^T * q - identity and q * q^T - identity (in exact arithmetic).
+    ArithmeticError if an entry of q^T * q is beyond the float64 range.
     """
     _check_tol(tol)
     q = as_tensor(q)
     n, n2, p = q.shape
     if n != n2:
         raise ValueError(f"orthogonality needs square frontal slices, got {n}x{n2}")
-    return frobenius_norm(tprod(transpose(q), q) - identity_tensor(n, p)) <= tol
+    gram = _finite(tprod(transpose(q), q), "the largest entry of q^T * q")
+    return frobenius_norm(gram - identity_tensor(n, p)) <= tol
 
 
 def random_orthogonal(n, p, seed):

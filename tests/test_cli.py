@@ -77,6 +77,20 @@ class TestTsvdCommand:
         assert float(parse_report(out)["relative_residual"]) == 0.0
         assert np.array_equal(read_tensor(prefix + ".s"), np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("name, prefix", [("a.tensor", "a"), ("noext", "noext"),
+                                              ("d.x/f", "d.x/f")])
+    def test_default_prefix_drops_only_the_extension(self, tmp_path, capsys, monkeypatch,
+                                                      name, prefix):
+        (tmp_path / "d.x").mkdir()
+        write_tensor(tmp_path / name, fdiagonal_fixture())
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["tsvd", name], capsys)
+        assert code == 0
+        report = parse_report(out)
+        for part in "usv":
+            assert report[part] == f"{prefix}.{part}"
+            assert (tmp_path / f"{prefix}.{part}").is_file()
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.tensor"
         path.write_text("dims = [2, 2]\ndata = [1.0]\n")
@@ -191,6 +205,24 @@ class TestApproxCommand:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert "invalid choice" in err
+
+    def test_overflowing_truncation_writes_and_prints_nothing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        path = tmp_path / "a.tensor"
+        write_tensor(path, np.random.default_rng(0).standard_normal((3, 3, 4)))
+        true_tsvd = cli.tsvd
+
+        def scaled_tsvd(x):
+            fac = true_tsvd(x)
+            return dataclasses.replace(fac, s=fac.s * (1e308 / np.abs(fac.s).max()))
+
+        monkeypatch.setattr(cli, "tsvd", scaled_tsvd)
+        argv = ["approx", str(path), "--rank", "12", "--out", str(tmp_path / "out.tensor")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == ("tsvdkit: numerical failure: the largest entry of the truncation is inf: "
+                       "the result overflowed float64; rescale the input\n")
+        assert os.listdir(tmp_path) == ["a.tensor"]
 
 
 class TestVerifyCommand:
@@ -352,6 +384,16 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", missing, flag, "-1"], capsys)
         assert (code, out) == (2, "")
         assert err == f"tsvdkit: error: [Errno 2] No such file or directory: {missing!r}\n"
+
+    def test_overflowing_partner_sum_exits_numerical(self, tmp_path, capsys):
+        # A valid file whose sum a + partner leaves float64's range: an
+        # overflow (exit 3), not a bad input (exit 2).
+        path = tmp_path / "top.tensor"
+        write_tensor(path, np.full((1, 2, 1), 1e308))
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("tsvdkit: numerical failure: the largest entry of a + partner is inf: "
+                       "the result overflowed float64; rescale the input\n")
 
     def test_deterministic_output(self, fixture_file, capsys):
         code1, out1, _ = run_cli(["verify", fixture_file, "--seed", "9"], capsys)

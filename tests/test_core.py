@@ -156,6 +156,13 @@ class TestBcircInverse:
     def test_zero_matrix_passes(self):
         assert not bcirc_inverse(np.zeros((6, 4)), 3, 2, 2).any()
 
+    @pytest.mark.parametrize("m,n,p", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_rejects_empty_axes(self, m, n, p):
+        # A matrix of the shape the dims ask for, so that only the axis guard refuses it.
+        message = rf"^tensor axes must be positive, got \({m}, {n}, {p}\)$"
+        with pytest.raises(ValueError, match=message):
+            bcirc_inverse(np.zeros((m * p, n * p)), m, n, p)
+
 
 class TestUnfoldFold:
     def test_p_equals_one(self, rng):

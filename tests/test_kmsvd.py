@@ -301,6 +301,17 @@ class TestTruncation:
             with pytest.raises(ValueError, match="finite"):
                 truncate_trank(dataclasses.replace(fac, **{field: bad}), 1)
 
+    def test_refuses_an_overflowed_product(self):
+        # The true product is about 2.6e307 times the unscaled one, and finite;
+        # the inverse transform's sums over the tube are not.
+        fac = tsvd(np.random.default_rng(0).standard_normal((3, 3, 4)))
+        scale = 1e308 / np.abs(fac.s).max()
+        assert np.isfinite(scale * truncate_trank(fac, 12)).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match="^the largest entry of the truncation is inf: "
+                                       "the result overflowed float64"):
+            truncate_trank(dataclasses.replace(fac, s=scale * fac.s), 12)
+
     def test_rejects_mismatched_factors(self, rng):
         fac = tsvd(rng.standard_normal((3, 4, 5)))
         with pytest.raises(ValueError, match="inner dimensions"):

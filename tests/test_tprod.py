@@ -179,6 +179,14 @@ class TestTprodDirect:
             scale = max(frobenius_norm(direct), 1e-300)
             assert frobenius_norm(fast - direct) <= 1e-10 * scale
 
+    def test_overflowed_product_is_an_overflow(self):
+        # An overflow, not the bad input that fold would call it.
+        a = np.full((2, 2, 2), 1e308)
+        with np.errstate(over="ignore"), pytest.raises(
+                ArithmeticError, match="^the largest entry of the product is inf: "
+                                       "the result overflowed float64"):
+            tprod_direct(a, a)
+
 
 class TestIsOrthogonal:
     def test_identity(self):
@@ -200,6 +208,12 @@ class TestIsOrthogonal:
         with pytest.raises(ValueError, match="square"):
             is_orthogonal(rng.standard_normal((3, 4, 2)))
 
+    def test_overflowed_gram_product_is_an_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match=r"^the largest entry of q\^T \* q is inf: "
+                                       "the result overflowed float64"):
+            is_orthogonal(np.full((2, 2, 2), 1e200))
+
 
 class TestRandomOrthogonal:
     def test_trivial_case_is_sign(self):
@@ -213,6 +227,12 @@ class TestRandomOrthogonal:
 
     def test_seeds_differ(self):
         assert not np.array_equal(random_orthogonal(4, 3, 0), random_orthogonal(4, 3, 1))
+
+    @pytest.mark.parametrize("n,p", [(0, 3), (3, 0), (-1, 2)])
+    def test_rejects_empty_axes(self, n, p):
+        message = rf"^random_orthogonal needs n, p >= 1, got \({n}, {p}\)$"
+        with pytest.raises(ValueError, match=message):
+            random_orthogonal(n, p, 0)
 
     @pytest.mark.parametrize("n,p", [(1, 4), (3, 1), (5, 2), (4, 6), (2, 7)])
     def test_orthogonal_for_shapes(self, n, p):
