@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_tol, _finite, _norm2, as_tensor
-from .spectral import _from_half, _half, _rhalf, _svd, complex_svd, dft_mode3
+from .spectral import _from_half, _rhalf, _svd, complex_svd, dft_mode3
 from .tprod import _conformable
 
 __all__ = [
@@ -86,16 +86,17 @@ def tsvd(a):
     """Full T-SVD of `a`.
 
     The middle factor equals ``km_mapping(a)`` up to rounding, not bit for
-    bit: here each slice of ``dft_mode3(a)`` is factored on its own, the
-    self-paired ones by LAPACK's real driver, while the mapping factors the
-    ``rfft`` slices in one batched complex call.  ArithmeticError if an
-    entry of the transform or of the middle factor is not finite: the
-    spectrum overflowed float64.
+    bit: here slices 0..p//2 of ``dft_mode3(a)`` are factored one at a time,
+    and the self-paired ones (0, and p/2 for even p), real up to roundoff, go
+    in as their real part, so LAPACK's real driver factors them, while the
+    mapping factors the ``rfft`` slices in one batched complex call.
+    ArithmeticError if an entry of the transform or of the middle factor is
+    not finite: the spectrum overflowed float64.
     """
-    a = as_tensor(a)
-    m, n, p = a.shape
-    spectrum = _finite(dft_mode3(a), "the largest transform entry")
-    factors = [complex_svd(d) for d in _half(spectrum)]
+    spectrum = dft_mode3(a)
+    m, n, p = spectrum.shape
+    factors = [complex_svd(spectrum[:, :, k].real if 2 * k % p == 0 else spectrum[:, :, k])
+               for k in range(p // 2 + 1)]
     tubes = _finite(_from_half(np.array([f.sigma for f in factors]), p), _SIGMA1)
     return TSvd(
         u=_from_half(np.stack([f.u for f in factors]), p),

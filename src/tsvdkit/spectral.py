@@ -7,8 +7,8 @@ slice 0 (plus slice p/2 for even p) is real.  Only the first p // 2 + 1
 slices are independent, so per-slice work runs on that half, held as a
 slice-major (p // 2 + 1, m, n) stack, and one ``irfft`` of length p turns
 the result back into a real tensor.  Every op except ``tsvd`` that takes the
-transform takes the half straight from ``rfft`` (``_rhalf``); ``tsvd`` slices
-it out of the full ``dft_mode3`` spectrum (``_half``) and factors it one
+transform takes the half straight from ``rfft`` (``_rhalf``); ``tsvd``
+factors slices 0..p//2 of the full ``dft_mode3`` spectrum, one
 ``complex_svd`` per slice.  ``tprod`` takes the transform only for products
 too large for its block-circulant matmul.
 
@@ -23,7 +23,7 @@ contracts.  The rest of the package reaches the kernels only through
 ``_rhalf`` (data with the DFT axis last in, a stack with it first out, for
 tensors and for (r, p) tubes), ``_svd``, ``_oriented_q`` (QR with a
 deterministic sign) and ``_from_half`` (the inverse of ``_rhalf``), besides
-``tsvd``'s ``_half`` and ``complex_svd``.
+``complex_svd``.
 """
 
 from collections import namedtuple
@@ -55,23 +55,25 @@ def dft_mode3(a):
     """Forward DFT along tubes: slice k holds sum_l w**(k*l) * a[:, :, l].
 
     The kernel is w = exp(-2j*pi/p), unnormalized, so slice 0 is the sum of
-    the frontal slices.
+    the frontal slices.  ArithmeticError if an entry is not finite: the
+    transform overflowed float64.
     """
-    return np.fft.fft(as_tensor(a), axis=2)
+    return _finite(np.fft.fft(as_tensor(a), axis=2), "the largest transform entry")
 
 
 def idft_mode3(d, residue_tol=IMAG_RESIDUE_TOL):
     """Inverse DFT along tubes of a conjugate-symmetric complex array.
 
-    The entries must be finite, else ValueError.  Returns the real part after
-    checking that every entry's imaginary residue is at most
-    ``residue_tol * max modulus``, a gate relative to the scale of the result;
-    a larger residue raises ValueError because the input cannot be the
-    transform of a real tensor.  A zero spectrum passes.
+    The entries must be finite, else ValueError.  ArithmeticError if an entry
+    of the inverse is not finite: the tube sums overflowed float64.  Returns
+    the real part after checking that every entry's imaginary residue is at
+    most ``residue_tol * max modulus``, a gate relative to the scale of the
+    result; a larger residue raises ValueError because the input cannot be
+    the transform of a real tensor.  A zero spectrum passes.
     """
     _check_tol(residue_tol)
     d = _array(d, 3, "spectrum", dtype=complex)
-    x = np.fft.ifft(d, axis=2)
+    x = _finite(np.fft.ifft(d, axis=2), "the largest entry of the inverse transform")
     residue = np.abs(x.imag).max()
     if residue > residue_tol * np.abs(x).max():
         raise ValueError(
@@ -154,20 +156,6 @@ def complex_svd(d):
     u, v = _normalize_phases(u, sigma, vh.conj().T)
     return SliceSvd(u=u.astype(complex, copy=False), sigma=sigma,
                     v=v.astype(complex, copy=False))
-
-
-def _half(spec):
-    """Slices 0..p//2 of a real tensor's spectrum as a (p//2+1, m, n) stack.
-
-    Self-paired slices are real up to roundoff; their imaginary part is
-    zeroed so that they take LAPACK's real driver.
-    """
-    p = spec.shape[2]
-    half = spec[:, :, : p // 2 + 1].transpose(2, 0, 1).copy()
-    half.imag[0] = 0.0
-    if p % 2 == 0:
-        half.imag[p // 2] = 0.0
-    return half
 
 
 # Axis orders, by rank, that move the DFT axis from last to first and back.

@@ -53,6 +53,14 @@ MUTANTS = [
            "if residue > residue_tol * np.abs(x).max():",
            "if residue > residue_tol * np.abs(x).sum():",
            "idft_mode3: imaginary residue at most residue_tol * max modulus"),
+    Mutant("dft-overflow-refusal", "src/tsvdkit/spectral.py",
+           'return _finite(np.fft.fft(as_tensor(a), axis=2), "the largest transform entry")',
+           "return np.fft.fft(as_tensor(a), axis=2)",
+           "dft_mode3: a transform that overflowed float64 raises ArithmeticError"),
+    Mutant("idft-overflow-refusal", "src/tsvdkit/spectral.py",
+           'x = _finite(np.fft.ifft(d, axis=2), "the largest entry of the inverse transform")',
+           "x = np.fft.ifft(d, axis=2)",
+           "idft_mode3: an inverse that overflowed float64 raises ArithmeticError"),
     Mutant("verify-invariance-tol", "src/tsvdkit/cli.py",
            "INVARIANCE_TOL = 1e-8",
            "INVARIANCE_TOL = 1e-2",

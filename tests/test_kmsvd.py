@@ -28,7 +28,7 @@ from tsvdkit import (
 from tsvdkit import kmsvd
 
 from tensor_cases import (fdiagonal_fixture, fdiagonal_fixture_image, overflowing_tensors,
-                          random_tensor)
+                          random_tensor, same_bits)
 
 
 def reconstruct(fac):
@@ -557,6 +557,41 @@ class TestInvarianceProperty:
             )
             assert ra.t_rank == rb.t_rank
             assert ra.tubal_rank == rb.tubal_rank
+
+
+class TestMetamorphic:
+    """Relations that need no oracle, on seeded tensors with sides <= 8 and
+    p <= 9.  A cyclic shift of the frontal slices (a T-product with an
+    orthogonal shift tensor) and a permutation of the rows leave S(a)
+    unchanged, and S(transpose(a)) is transpose(S(a)), each within 8 eps of
+    the largest entry of S(a); negation leaves S(a) unchanged bit for bit."""
+
+    CASES = 50
+
+    def cases(self, rng):
+        for _ in range(self.CASES):
+            yield random_tensor(rng, max_p=9)
+
+    @staticmethod
+    def assert_within_8_eps(got, want):
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+
+    def test_cyclic_shift_of_the_frontal_slices(self, rng, kernel_route):
+        for a in self.cases(rng):
+            shift = int(rng.integers(a.shape[2]))
+            self.assert_within_8_eps(km_mapping(np.roll(a, shift, axis=2)), km_mapping(a))
+
+    def test_permutation_of_the_rows(self, rng, kernel_route):
+        for a in self.cases(rng):
+            self.assert_within_8_eps(km_mapping(a[rng.permutation(a.shape[0])]), km_mapping(a))
+
+    def test_transposition(self, rng, kernel_route):
+        for a in self.cases(rng):
+            self.assert_within_8_eps(km_mapping(transpose(a)), transpose(km_mapping(a)))
+
+    def test_negation_is_bitwise(self, rng, kernel_route):
+        for a in self.cases(rng):
+            assert same_bits(km_mapping(-a), km_mapping(a))
 
 
 class TestScaling:

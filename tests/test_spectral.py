@@ -14,7 +14,7 @@ from tsvdkit import (
     tprod,
     tsvd,
 )
-from tsvdkit.spectral import _from_half, _half
+from tsvdkit.spectral import _from_half
 
 from tensor_cases import random_tensor
 
@@ -61,6 +61,13 @@ class TestDft:
         if p % 2 == 0:
             assert np.abs(spec[:, :, p // 2].imag).max() <= 1e-12 * scale
 
+    def test_refuses_an_overflowed_transform(self):
+        # Finite input whose tube sum, 3e308, leaves float64.
+        with np.errstate(over="ignore"), pytest.raises(
+                ArithmeticError, match="^the largest transform entry is inf: "
+                                       "the result overflowed float64"):
+            dft_mode3(np.full((1, 1, 2), 1.5e308))
+
     def test_parseval(self, rng):
         for _ in range(10):
             a = random_tensor(rng)
@@ -80,8 +87,12 @@ class TestIdft:
     @pytest.mark.parametrize("p", range(1, 10))
     @pytest.mark.parametrize("m, n", [(3, 5), (4, 2), (1, 1)])
     def test_half_route_round_trip(self, rng, m, n, p):
+        # The slices tsvd factors: 0..p//2 of the spectrum, the self-paired
+        # ones as their real part, stacked slice first.
         a = rng.standard_normal((m, n, p))
-        half = _half(dft_mode3(a))
+        spec = dft_mode3(a)
+        half = np.stack([spec[:, :, k].real if 2 * k % p == 0 else spec[:, :, k]
+                         for k in range(p // 2 + 1)])
         assert half.shape == (p // 2 + 1, m, n)
         assert not half[0].imag.any()
         if p % 2 == 0:
@@ -126,6 +137,13 @@ class TestIdft:
         spec[0, 0, 1] += 0.5j  # not symmetric, which a NaN gate would let through
         with pytest.raises(ValueError, match="tolerance must be >= 0"):
             idft_mode3(spec, residue_tol=tol)
+
+    def test_refuses_an_overflowed_inverse(self):
+        # The true inverse, a delta tube of 1e308, is finite, but the tube sum
+        # overflows before the 1/p scaling.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match="^the largest entry of the inverse transform is inf"):
+            idft_mode3(np.full((1, 1, 3), 1e308, dtype=complex))
 
     def test_zero_spectrum_passes(self):
         assert not idft_mode3(np.zeros((2, 2, 3), dtype=complex)).any()
