@@ -72,6 +72,22 @@ def as_tensor(a):
     return arr
 
 
+def _conformable(a, b):
+    """Both arguments as tensors, after checking that their T-product is defined."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"t-product inner dimensions differ: left lateral axis (axis 1) "
+            f"has size {a.shape[1]}, right horizontal axis (axis 0) has size "
+            f"{b.shape[0]}"
+        )
+    if a.shape[2] != b.shape[2]:
+        raise ValueError(
+            f"t-product tube lengths differ (axis 2): {a.shape[2]} vs {b.shape[2]}"
+        )
+    return a, b
+
+
 def _check_tol(tol):
     """Raise ValueError unless `tol` is a number >= 0 (NaN fails the test)."""
     if not tol >= 0:

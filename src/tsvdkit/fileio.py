@@ -26,30 +26,39 @@ between the outer brackets; `dims` takes integers, `data` finite numbers.
 
 Memory is bounded by the tensor, not by its text.  A write formats the list
 4096 entries at a time, copying at most that many entries.  A read takes
-every input, pipes included, once, 64 Ki characters at a time, and converts
-the entries straight into the result array (into pieces joined at the end
-when `data` comes before `dims`).  Entries are converted in batches: once 4 Ki
-characters of them have arrived since the last batch, everything up to the
-last comma is converted and the rest carried over.  So a batch is at most one
-piece plus what was held before it: under 4 Ki characters, and the entry
-under way.  The read sees the text as the grammar joins it: each line with
-its leading and trailing blanks dropped and one space before it, and of a
-run of blanks that spans pieces, or that comes before a ``]`` that may end
-the field, at most 4097 characters, as more make an entry too long either
-way.  So the entry under way is held stripped, in at most 8 Ki characters:
-once it is longer than 4096, it is refused and no more of it is held.  A
-2,000,000-character entry peaks at 0.47 MiB (tracemalloc).  For short entries
-a batch is some 20,000 entry strings at once: a `dims` that lists 100,000
-entries ``40`` (a 0.38 MiB file) peaks at about 1.45 MiB, as does one four
-times as long.
-The bound holds also when a field runs on past its line, as a `dims` that
-lacks its ``]`` runs on through `data`: `dims` keeps three entries and only
-counts the rest.  A malformed file is reported from that same pass, with
-its line number and, for a bad list entry, the entry's index and text.  A
-message quotes at most 80 characters of a line that is no field, of an
-unknown field's name, stripped, or of a bad list entry, and marks a cut with
-``...`` after the quote; the read holds no more of such a line than that and
-one piece, so a 2 MB line with no ``=`` peaks at 0.32 MiB (tracemalloc).
+every input, pipes included, once, 64 Ki characters at a time.  Entries are
+converted in batches: once 4 Ki characters of them have arrived since the
+last batch, everything up to the last comma is converted and the rest
+carried over.  So a batch is at most one piece plus what was held before it:
+under 4 Ki characters, and the entry under way.  The read sees the text as
+the grammar joins it: each line with its leading and trailing blanks dropped
+and one space before it, and of a run of blanks that spans pieces, or that
+comes before a ``]`` that may end the field, at most 4097 characters, as more
+make an entry too long either way.  So the entry under way is held stripped,
+in at most 8 Ki characters: once it is longer than 4096, it is refused and no
+more of it is held.  A 2,000,000-character entry peaks at 0.47 MiB
+(tracemalloc).  For short entries a batch is some 20,000 entry strings at
+once: a `dims` that lists 100,000 entries ``40`` (a 0.38 MiB file) peaks at
+about 1.45 MiB, as does one four times as long.
+
+A field keeps its converted batches while its count stays within what it
+can take, and only counts the entries after that: 3 for `dims`; for `data`,
+m*n*p after a valid `dims`, none after an invalid one, and every entry when
+`data` comes first.  The batches are joined once, after the count is
+checked, and then laid out as the result, so a read peaks at about twice the
+tensor, or at the 0.7 MiB of a batch for a smaller one (tracemalloc): a
+32x32x32 tensor (0.25 MiB) at 0.70 MiB, 512x16x16 (1 MiB) at 2.03 MiB and
+64x64x64 (2 MiB) at 4.05 MiB.  400,000 `data` entries after
+``dims = [1, 1, 1]``, or after ``[0, 1, 1]``, peak at 1.32 MiB.  The bound
+holds also when a field runs on past its line, as a `dims` that lacks its
+``]`` runs on through `data`.
+
+A malformed file is reported from that same pass, with its line number and,
+for a bad list entry, the entry's index and text.  A message quotes at most
+80 characters of a line that is no field, of an unknown field's name,
+stripped, or of a bad list entry, and marks a cut with ``...`` after the
+quote; the read holds no more of such a line than that and one piece, so a
+2 MB line with no ``=`` peaks at 0.32 MiB (tracemalloc).
 The first fault the pass meets is the one reported: a line that is no
 `key = value` field, or names an unknown or repeated one, at that line; a
 byte that is not UTF-8 when the decoder, which reads up to 64 Ki characters
@@ -57,6 +66,7 @@ ahead, reaches it; the other faults after the last line.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -142,33 +152,30 @@ class _Entries:
     """One field's list, its entries converted a batch at a time as the
     field's text arrives.
 
-    `dims` entries are integers: the first three are kept in `out`, the rest
-    only counted.  `data` entries are finite floats: they go straight into
-    `out` when a valid `dims` came first, into `parts` when `data` comes
-    first, and nowhere when `dims` is invalid or too large to allocate.
-    `fault` holds the first fault in the order the whole-text grammar reports
-    them, `rank` being its place: 0, not a bracketed list; 1, an empty entry;
-    2, the first entry that is not a numeral of its kind or not finite; then,
-    for `dims` once it is closed, its arity and its sign.
+    `dims` entries are integers, `data` entries finite floats.  Each field
+    keeps its converted batches in `parts` while its count stays within
+    `limit`, and only counts the entries after that: 3 for `dims`; for
+    `data`, m*n*p after a valid `dims`, none after an invalid one, and every
+    entry when `data` comes first.  `data`'s batches are joined once, after
+    `_read` has checked the count, so the read peaks at about twice the
+    tensor there.  `fault` holds the first fault in the order the whole-text
+    grammar reports them, `rank` being its place: 0, not a bracketed list;
+    1, an empty entry; 2, the first entry that is not a numeral of its kind
+    or not finite; then, for `dims` once it is closed, its arity and its
+    sign.
     """
 
     def __init__(self, key, dims):
         self.key = key
-        self.out = self.parts = self.carry = self.fault = self.rank = None
-        self.count, self.last = 0, ""  # entries taken; last non-blank character
+        self.carry = self.fault = self.rank = None
+        self.parts, self.count, self.last = [], 0, ""  # last: last non-blank character
         if key == "dims":
-            self.kind, self.dtype, self.noun = int, object, "an integer"
-            self.out = self.order = [None] * 3
+            self.kind, self.dtype, self.noun, self.limit = int, object, "an integer", 3
         else:
             self.kind, self.dtype, self.noun = float, float, "a number"
-            if dims is None:
-                self.parts = []
-            elif dims.fault is None:
-                try:
-                    self.out = np.empty(dims.out)
-                    self.order = self.out.transpose(2, 0, 1).flat  # in list order
-                except (MemoryError, ValueError):  # ValueError: too large to index
-                    pass
+            self.limit = math.inf  # `data` first
+            if dims is not None:
+                self.limit = 0 if dims.fault else math.prod(dims.joined())
 
     def feed(self, text, ends_line):
         """Take the next piece of the field's text as `_lines` yields it,
@@ -206,8 +213,8 @@ class _Entries:
         if self.key == "dims" and self.rank is None:
             if self.count != 3:
                 self.fault = f"'dims' must have exactly 3 entries, got {self.count}"
-            elif min(self.out) < 1:
-                self.fault = f"'dims' entries must be positive, got {list(self.out)}"
+            elif min(shape := list(self.joined())) < 1:
+                self.fault = f"'dims' entries must be positive, got {shape}"
         return True
 
     def _kept(self, tail):
@@ -263,19 +270,13 @@ class _Entries:
                                   f"{_shown(tok)}")
                     self.rank = 2
                     return
-        if self.parts is not None:
+        if self.count <= self.limit:
             self.parts.append(values)
-        elif self.out is not None and self.count <= len(self.order):
-            self.order[start : self.count] = values
 
-    def tensor(self, m, n, p):
-        """The (m, n, p) tensor of the entries, once their count is m*n*p."""
-        if self.parts is None:
-            if self.out is None:
-                raise MemoryError(f"cannot allocate a tensor of shape {(m, n, p)}")
-            return self.out
-        values, self.parts = np.concatenate(self.parts), None
-        return values.reshape(p, m, n).transpose(1, 2, 0).copy()
+    def joined(self):
+        """The kept entries as one array, which replaces their batches."""
+        self.parts = [np.concatenate(self.parts)]
+        return self.parts[0]
 
 
 def _read(fh, source):
@@ -331,14 +332,15 @@ def _read(fh, source):
     for key in ("dims", "data"):
         if entries[key].fault is not None:
             raise TensorFormatError(f"{source}:{starts[key]}: {entries[key].fault}")
-    m, n, p = entries["dims"].out
+    m, n, p = entries["dims"].joined()
     data = entries["data"]
     if data.count != m * n * p:
         raise TensorFormatError(
             f"{source}:{starts['data']}: 'data' has {data.count} entries, "
             f"expected m*n*p = {m * n * p}"
         )
-    return data.tensor(m, n, p)
+    # The entries list the slices one by one: slice-major, then C order.
+    return data.joined().reshape(p, m, n).transpose(1, 2, 0).copy()
 
 
 def read_tensor(path):

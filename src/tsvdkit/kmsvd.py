@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_tol, _finite, _norm2, as_tensor
+from .core import _check_tol, _conformable, _finite, _norm2, as_tensor
 from .spectral import _from_half, _rhalf, _svd, complex_svd, dft_mode3
-from .tprod import _conformable
 
 __all__ = [
     "TSvd",

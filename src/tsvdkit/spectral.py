@@ -51,6 +51,9 @@ __all__ = [
 IMAG_RESIDUE_TOL = 1e-8
 
 
+# The public transforms report an overflow as ArithmeticError, through
+# `_finite`, rather than let numpy's RuntimeWarning come first.
+@np.errstate(over="ignore", invalid="ignore")
 def dft_mode3(a):
     """Forward DFT along tubes: slice k holds sum_l w**(k*l) * a[:, :, l].
 
@@ -61,6 +64,7 @@ def dft_mode3(a):
     return _finite(np.fft.fft(as_tensor(a), axis=2), "the largest transform entry")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def idft_mode3(d, residue_tol=IMAG_RESIDUE_TOL):
     """Inverse DFT along tubes of a conjugate-symmetric complex array.
 

@@ -5,6 +5,7 @@ import numpy as np
 from .core import (
     _check_tol,
     _circulant,
+    _conformable,
     _finite,
     as_tensor,
     bcirc,
@@ -36,22 +37,6 @@ class SingularSliceError(ArithmeticError):
             f"transform slice {slice_index} is numerically singular "
             f"(smallest singular value {sigma_min:.3e})"
         )
-
-
-def _conformable(a, b):
-    """Both arguments as tensors, after checking that their T-product is defined."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"t-product inner dimensions differ: left lateral axis (axis 1) "
-            f"has size {a.shape[1]}, right horizontal axis (axis 0) has size "
-            f"{b.shape[0]}"
-        )
-    if a.shape[2] != b.shape[2]:
-        raise ValueError(
-            f"t-product tube lengths differ (axis 2): {a.shape[2]} vs {b.shape[2]}"
-        )
-    return a, b
 
 
 # Products of at most this many multiply-adds (m * n * q * p**2) run as one

@@ -61,6 +61,11 @@ MUTANTS = [
            'x = _finite(np.fft.ifft(d, axis=2), "the largest entry of the inverse transform")',
            "x = np.fft.ifft(d, axis=2)",
            "idft_mode3: an inverse that overflowed float64 raises ArithmeticError"),
+    Mutant("data-entry-limit", "src/tsvdkit/fileio.py",
+           "self.limit = 0 if dims.fault else math.prod(dims.joined())",
+           "self.limit = math.inf",
+           "read_tensor: `data` keeps no more entries than a valid `dims` takes, none after "
+           "an invalid one"),
     Mutant("verify-invariance-tol", "src/tsvdkit/cli.py",
            "INVARIANCE_TOL = 1e-8",
            "INVARIANCE_TOL = 1e-2",

@@ -403,6 +403,21 @@ class TestChunkBoundaries:
             got = outcome(lambda: read_tensor(path))
         assert got == outcome(lambda: whole_text_parser._parse(text, str(path)))
 
+    @pytest.mark.parametrize("chunk", [1, 7, READ_CHUNK])
+    def test_result_layout_in_either_field_order(self, tmp_path, chunk):
+        # Whichever field comes first, the entries are joined once and laid
+        # out as one C-contiguous float64 array that owns its memory.
+        a = varied_values(np.random.default_rng(5), 60).reshape(3, 4, 5)
+        path, flipped = tmp_path / "t.tensor", tmp_path / "flipped.tensor"
+        write_tensor(path, a)
+        dims, data = path.read_text().splitlines()
+        flipped.write_text(data + "\n" + dims + "\n")
+        with mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            reads = [read_tensor(path), read_tensor(flipped)]
+        for b in reads:
+            assert b.flags.c_contiguous and b.flags.owndata
+            assert same_bits(b, a)  # float64, the same shape and bytes
+
     def test_written_entries_are_at_most_24_characters(self, tmp_path):
         # Far inside the 4096 characters a read takes of an entry.
         values = np.concatenate([-np.abs(varied_values(np.random.default_rng(7), 20_000)),
@@ -517,13 +532,20 @@ class TestChunkBoundaries:
                                                      "k" * 90, " " * 90])),
                           max_size=4),
            chunk=st.sampled_from([1, 3, 16, 64, READ_CHUNK]),
-           convert=st.sampled_from([1, 5, fileio._CONVERT_CHUNK]))
-    def test_agrees_with_whole_text_parser(self, tmp_path_factory, edits, chunk,
-                                           convert):
-        text = ("# a [2x2x1] tensor\n"
+           convert=st.sampled_from([1, 5, fileio._CONVERT_CHUNK]),
+           text=st.sampled_from([
+               ("# a [2x2x1] tensor\n"
                 "dims = [2, 2, 1]\n"
                 "data = [1.5, -2.0,  # first row\n"
-                "        3.25, 4e-300]\n")
+                "        3.25, 4e-300]\n"),
+               # `data` first, with p > 1: the join lays the slices out.
+               ("# a [1x2x2] tensor\n"
+                "data = [1.5, -2.0,  # first slice\n"
+                "        3.25, 4e-300]\n"
+                "dims = [1, 2, 2]\n"),
+           ]))
+    def test_agrees_with_whole_text_parser(self, tmp_path_factory, edits, chunk,
+                                           convert, text):
         for at, cut, insert in edits:
             at %= len(text) + 1
             text = text[:at] + insert + text[at + cut:]
@@ -816,6 +838,27 @@ class TestMemory:
             assert outcome == [f"{path}:2: {message}"]
             assert len(message) < 200
         assert read_peak < 1 << 20
+
+    @pytest.mark.parametrize("dims, message", [
+        ("1, 1, 1", "2: 'data' has 400000 entries, expected m*n*p = 1"),
+        ("0, 1, 1", "1: 'dims' entries must be positive, got [0, 1, 1]"),
+    ], ids=["more than dims takes", "after an invalid dims"])
+    def test_data_past_what_dims_takes_is_only_counted(self, tmp_path, dims, message):
+        # `data` keeps m*n*p entries after a valid `dims` and none after an
+        # invalid one; keeping all 400,000 would peak at 4.06 MiB.
+        path = tmp_path / "t.tensor"
+        path.write_text(f"dims = [{dims}]\ndata = [" + ", ".join(["1.5"] * 400_000) + "]\n")
+        outcome = []
+
+        def read():
+            try:
+                read_tensor(path)
+            except TensorFormatError as exc:
+                outcome.append(str(exc))
+
+        read_peak = traced_peak(read)
+        assert outcome == [f"{path}:{message}"]
+        assert read_peak <= 32 * fileio._READ_CHUNK
 
     @pytest.mark.parametrize("entries", [100_000, 400_000])
     def test_a_batch_is_at_most_one_piece(self, tmp_path, entries):

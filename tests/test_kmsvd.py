@@ -486,6 +486,13 @@ class TestOverflowedSpectrum:
                                                            match="overflowed float64"):
                 call(a)
 
+    def test_tsvd_refuses_an_overflowed_transform_without_a_warning(self):
+        # Under the suite's warnings-as-errors, numpy's "overflow encountered
+        # in fft" would come first if `dft_mode3` left its error state alone.
+        with pytest.raises(ArithmeticError, match="^the largest transform entry is inf: "
+                                                  "the result overflowed float64"):
+            tsvd(np.full((1, 1, 2), 1.5e308))
+
     @pytest.mark.parametrize("call", [
         singular_values, sigma1, lambda a: km_equal(a, a), km_mapping, best_trank_one,
         lambda a: tinverse(a[:2]),

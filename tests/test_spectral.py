@@ -62,10 +62,10 @@ class TestDft:
             assert np.abs(spec[:, :, p // 2].imag).max() <= 1e-12 * scale
 
     def test_refuses_an_overflowed_transform(self):
-        # Finite input whose tube sum, 3e308, leaves float64.
-        with np.errstate(over="ignore"), pytest.raises(
-                ArithmeticError, match="^the largest transform entry is inf: "
-                                       "the result overflowed float64"):
+        # Finite input whose tube sum, 3e308, leaves float64.  With warnings
+        # as errors, this also shows that numpy's overflow warning stays in.
+        with pytest.raises(ArithmeticError, match="^the largest transform entry is inf: "
+                                                  "the result overflowed float64"):
             dft_mode3(np.full((1, 1, 2), 1.5e308))
 
     def test_parseval(self, rng):
@@ -141,8 +141,8 @@ class TestIdft:
     def test_refuses_an_overflowed_inverse(self):
         # The true inverse, a delta tube of 1e308, is finite, but the tube sum
         # overflows before the 1/p scaling.
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ArithmeticError, match="^the largest entry of the inverse transform is inf"):
+        with pytest.raises(ArithmeticError,
+                           match="^the largest entry of the inverse transform is inf"):
             idft_mode3(np.full((1, 1, 3), 1e308, dtype=complex))
 
     def test_zero_spectrum_passes(self):
