@@ -66,9 +66,13 @@ def as_tensor(a):
     Raises ValueError if `a` is complex, is not three-dimensional, has an
     empty axis, or contains non-finite entries.
     """
-    arr = _array(a, 3, "tensor")
+    return _nonempty(_array(a, 3, "tensor"), "tensor")
+
+
+def _nonempty(arr, what):
+    """`arr` unless an axis is empty, which raises ValueError naming `what`."""
     if not arr.size:
-        raise ValueError(f"tensor axes must be positive, got shape {arr.shape}")
+        raise ValueError(f"{what} axes must be positive, got shape {arr.shape}")
     return arr
 
 
@@ -130,14 +134,15 @@ def unfold(a):
 def fold(mat, p):
     """Inverse of :func:`unfold`: reassemble p stacked slices into a tensor.
 
-    `mat` must be a real matrix with finite entries, else ValueError.
+    `mat` must be a real matrix with finite entries, at least one column, and
+    a positive multiple of p rows, else ValueError.
     """
     mat = _array(mat, 2, "matrix")
     rows, n = mat.shape
     if p < 1 or rows % p != 0:
         raise ValueError(f"cannot fold {rows} rows into {p} frontal slices")
     m = rows // p
-    return mat.reshape(p, m, n).transpose(1, 2, 0).copy()
+    return _nonempty(mat.reshape(p, m, n).transpose(1, 2, 0).copy(), "tensor")
 
 
 def _circulant(x):
@@ -184,7 +189,7 @@ def bcirc_inverse(mat, m, n, p, tol=1e-9):
             f"got {mat.shape[0]}x{mat.shape[1]}"
         )
     a = fold(mat[:, :n], p)
-    deviation = np.abs(_circulant(a) - mat.reshape(p, m, p, n).transpose(1, 3, 0, 2)).max()
+    deviation = np.abs(bcirc(a) - mat).max()
     if deviation > tol * np.abs(mat).max():
         raise ValueError(
             f"matrix is not block circulant: max block deviation {deviation:.3e} "

@@ -85,17 +85,15 @@ def tsvd(a):
     """Full T-SVD of `a`.
 
     The middle factor equals ``km_mapping(a)`` up to rounding, not bit for
-    bit: here slices 0..p//2 of ``dft_mode3(a)`` are factored one at a time,
-    and the self-paired ones (0, and p/2 for even p), real up to roundoff, go
-    in as their real part, so LAPACK's real driver factors them, while the
-    mapping factors the ``rfft`` slices in one batched complex call.
+    bit: here slices 0..p//2 of ``dft_mode3(a)`` are factored one at a time
+    by ``complex_svd``, while the mapping factors the ``rfft`` slices in one
+    batched complex call.
     ArithmeticError if an entry of the transform or of the middle factor is
     not finite: the spectrum overflowed float64.
     """
     spectrum = dft_mode3(a)
     m, n, p = spectrum.shape
-    factors = [complex_svd(spectrum[:, :, k].real if 2 * k % p == 0 else spectrum[:, :, k])
-               for k in range(p // 2 + 1)]
+    factors = [complex_svd(spectrum[:, :, k]) for k in range(p // 2 + 1)]
     tubes = _finite(_from_half(np.array([f.sigma for f in factors]), p), _SIGMA1)
     return TSvd(
         u=_from_half(np.stack([f.u for f in factors]), p),

@@ -2,15 +2,18 @@
 
 The forward transform is the unnormalized DFT along tubes (third axis); the
 inverse carries the 1/p factor.  Transforms of real tensors are conjugate
-symmetric along the third axis: slice p - k is the conjugate of slice k and
-slice 0 (plus slice p/2 for even p) is real.  Only the first p // 2 + 1
+symmetric along the third axis: slice p - k is the conjugate of slice k, so
+slice 0 (plus slice p/2 for even p) is self-paired and real.  This module
+alone knows which slices those are: ``dft_mode3`` and ``rfft`` return them
+exactly real, and ``_pack_half`` draws them real.  Only the first p // 2 + 1
 slices are independent, so per-slice work runs on that half, held as a
 slice-major (p // 2 + 1, m, n) stack, and one ``irfft`` of length p turns
 the result back into a real tensor.  Every op except ``tsvd`` that takes the
 transform takes the half straight from ``rfft`` (``_rhalf``); ``tsvd``
 factors slices 0..p//2 of the full ``dft_mode3`` spectrum, one
-``complex_svd`` per slice.  ``tprod`` takes the transform only for products
-too large for its block-circulant matmul.
+``complex_svd`` per slice, whose exact-real test sends the self-paired
+slices to LAPACK's real driver.  ``tprod`` takes the transform only for
+products too large for its block-circulant matmul.
 
 The route's FFTs, SVDs and QRs (``_kernels``) call numpy's pocketfft and
 LAPACK gufuncs directly, skipping the wrappers' per-call overhead, once a probe
@@ -22,8 +25,8 @@ This module alone knows the kernels, the slice-major layout and LAPACK's
 contracts.  The rest of the package reaches the kernels only through
 ``_rhalf`` (data with the DFT axis last in, a stack with it first out, for
 tensors and for (r, p) tubes), ``_svd``, ``_oriented_q`` (QR with a
-deterministic sign) and ``_from_half`` (the inverse of ``_rhalf``), besides
-``complex_svd``.
+deterministic sign), ``_pack_half`` (real draws laid out as a half stack)
+and ``_from_half`` (the inverse of ``_rhalf``), besides ``complex_svd``.
 """
 
 from collections import namedtuple
@@ -36,7 +39,7 @@ try:
 except ImportError:  # private module; the kernels then use np.linalg
     _umath_linalg = None
 
-from .core import _array, _check_tol, _finite, as_tensor
+from .core import _array, _check_tol, _finite, _nonempty, as_tensor
 
 __all__ = [
     "dft_mode3",
@@ -58,25 +61,32 @@ def dft_mode3(a):
     """Forward DFT along tubes: slice k holds sum_l w**(k*l) * a[:, :, l].
 
     The kernel is w = exp(-2j*pi/p), unnormalized, so slice 0 is the sum of
-    the frontal slices.  ArithmeticError if an entry is not finite: the
+    the frontal slices.  Slice 0 and, for even p, slice p/2 are their own
+    conjugates, so their imaginary parts are set to exactly zero, where the
+    FFT leaves roundoff.  ArithmeticError if an entry is not finite: the
     transform overflowed float64.
     """
-    return _finite(np.fft.fft(as_tensor(a), axis=2), "the largest transform entry")
+    d = _finite(np.fft.fft(as_tensor(a), axis=2), "the largest transform entry")
+    p = d.shape[2]
+    # Steps of (p + 1) // 2 below p // 2 + 1 reach slice 0 and, for even p, p/2.
+    d.imag[:, :, : p // 2 + 1 : (p + 1) // 2] = 0
+    return d
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def idft_mode3(d, residue_tol=IMAG_RESIDUE_TOL):
     """Inverse DFT along tubes of a conjugate-symmetric complex array.
 
-    The entries must be finite, else ValueError.  ArithmeticError if an entry
-    of the inverse is not finite: the tube sums overflowed float64.  Returns
-    the real part after checking that every entry's imaginary residue is at
-    most ``residue_tol * max modulus``, a gate relative to the scale of the
-    result; a larger residue raises ValueError because the input cannot be
-    the transform of a real tensor.  A zero spectrum passes.
+    The spectrum must have no empty axis and finite entries, else ValueError.
+    ArithmeticError if an entry of the inverse is not finite: the tube sums
+    overflowed float64.  Returns the real part after checking that every
+    entry's imaginary residue is at most ``residue_tol * max modulus``, a gate
+    relative to the scale of the result; a larger residue raises ValueError
+    because the input cannot be the transform of a real tensor.  A zero
+    spectrum passes.
     """
     _check_tol(residue_tol)
-    d = _array(d, 3, "spectrum", dtype=complex)
+    d = _nonempty(_array(d, 3, "spectrum", dtype=complex), "spectrum")
     x = _finite(np.fft.ifft(d, axis=2), "the largest entry of the inverse transform")
     residue = np.abs(x.imag).max()
     if residue > residue_tol * np.abs(x).max():
@@ -124,6 +134,21 @@ def _oriented_q(mat):
     q, r = _kernels().qr(np.ascontiguousarray(mat, dtype=complex))
     negative = r.diagonal(0, -2, -1).real < 0
     return np.negative(q, out=q, where=negative[..., None, :])
+
+
+def _pack_half(g):
+    """The (p//2+1, ...) half stack of a conjugate-symmetric spectrum built
+    from the p real draws stacked along the first axis of `g`.
+
+    Slice by slice, each independent slice takes the next draw as its real
+    part and then, unless it is self-paired (0, and p/2 for even p), the next
+    as its imaginary part.
+    """
+    p = g.shape[0]
+    z = np.zeros((p // 2 + 1, *g.shape[1:]), dtype=complex)
+    z.real[0], z.real[1:] = g[0], g[1::2]
+    z.imag[1 : (p + 1) // 2] = g[2::2]
+    return z
 
 
 def _normalize_phases(u, sigma, v):

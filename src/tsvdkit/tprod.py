@@ -15,7 +15,7 @@ from .core import (
     transpose,
     unfold,
 )
-from .spectral import _from_half, _oriented_q, _rhalf, _svd
+from .spectral import _from_half, _oriented_q, _pack_half, _rhalf, _svd
 
 __all__ = [
     "tprod",
@@ -109,13 +109,8 @@ def random_orthogonal(n, p, seed):
     """
     if n < 1 or p < 1:
         raise ValueError(f"random_orthogonal needs n, p >= 1, got ({n}, {p})")
-    # One draw holds, slice by slice, the real part and then (unless the slice
-    # is self-paired) the imaginary part: p matrices in all.
     g = np.random.default_rng(seed).standard_normal((p, n, n))
-    z = np.zeros((p // 2 + 1, n, n), dtype=complex)
-    z.real[0], z.real[1:] = g[0], g[1::2]
-    z.imag[1 : (p + 1) // 2] = g[2::2]
-    return _from_half(_oriented_q(z), p)
+    return _from_half(_oriented_q(_pack_half(g)), p)
 
 
 def tinverse(a, tol=1e-12):

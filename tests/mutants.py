@@ -54,9 +54,13 @@ MUTANTS = [
            "if residue > residue_tol * np.abs(x).sum():",
            "idft_mode3: imaginary residue at most residue_tol * max modulus"),
     Mutant("dft-overflow-refusal", "src/tsvdkit/spectral.py",
-           'return _finite(np.fft.fft(as_tensor(a), axis=2), "the largest transform entry")',
-           "return np.fft.fft(as_tensor(a), axis=2)",
+           'd = _finite(np.fft.fft(as_tensor(a), axis=2), "the largest transform entry")',
+           "d = np.fft.fft(as_tensor(a), axis=2)",
            "dft_mode3: a transform that overflowed float64 raises ArithmeticError"),
+    Mutant("dft-self-paired-real", "src/tsvdkit/spectral.py",
+           "d.imag[:, :, : p // 2 + 1 : (p + 1) // 2] = 0",
+           "pass",
+           "dft_mode3: slice 0 and, for even p, slice p/2 have exactly zero imaginary parts"),
     Mutant("idft-overflow-refusal", "src/tsvdkit/spectral.py",
            'x = _finite(np.fft.ifft(d, axis=2), "the largest entry of the inverse transform")',
            "x = np.fft.ifft(d, axis=2)",

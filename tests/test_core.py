@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,12 @@ class TestUnfoldFold:
     def test_fold_rejects_indivisible_rows(self):
         with pytest.raises(ValueError, match="cannot fold"):
             fold(np.zeros((5, 2)), 2)
+
+    @pytest.mark.parametrize("rows, cols, shape", [(0, 3, (0, 3, 2)), (4, 0, (2, 0, 2))])
+    def test_fold_rejects_empty_matrix(self, rows, cols, shape):
+        message = rf"^tensor axes must be positive, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            fold(np.zeros((rows, cols)), 2)
 
 
 class TestTranspose:

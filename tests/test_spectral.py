@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,14 @@ class TestDft:
         assert np.abs(spec[:, :, 0].imag).max() <= 1e-12 * scale
         if p % 2 == 0:
             assert np.abs(spec[:, :, p // 2].imag).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [*range(1, 101), 101, 127, 1009])
+    def test_self_paired_slices_are_exactly_real(self, p):
+        # The FFT leaves roundoff in these imaginary parts at most lengths.
+        spec = dft_mode3(np.random.default_rng(1).standard_normal((3, 2, p)))
+        assert not spec[:, :, 0].imag.any()
+        if p % 2 == 0:
+            assert not spec[:, :, p // 2].imag.any()
 
     def test_refuses_an_overflowed_transform(self):
         # Finite input whose tube sum, 3e308, leaves float64.  With warnings
@@ -144,6 +154,12 @@ class TestIdft:
         with pytest.raises(ArithmeticError,
                            match="^the largest entry of the inverse transform is inf"):
             idft_mode3(np.full((1, 1, 3), 1e308, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 2, 0)])
+    def test_rejects_empty_axes(self, shape):
+        message = rf"^spectrum axes must be positive, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            idft_mode3(np.zeros(shape, dtype=complex))
 
     def test_zero_spectrum_passes(self):
         assert not idft_mode3(np.zeros((2, 2, 3), dtype=complex)).any()
