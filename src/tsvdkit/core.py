@@ -98,15 +98,24 @@ def _check_tol(tol):
         raise ValueError(f"tolerance must be >= 0, got {tol}")
 
 
+@np.errstate(over="ignore")  # the unscaled sum of squares may overflow
 def _norm2(x, axis=None):
     """Euclidean norm over `axis`, safe across the float64 range.
 
-    Entries are first divided by a power of two within a factor 2 of the
-    largest magnitude (the scaling of BLAS nrm2; Blue, ACM TOMS 1978), so no
-    square over- or underflows.  The division is exact, so in range the result
-    rounds exactly as the unscaled sum of squares does.
+    Over all axes, the unscaled sum of squares is taken first, in one pass, as
+    ``np.linalg.norm`` takes it for real input, and its square root returned
+    when the sum is finite and far above the subnormal range.  Otherwise, and
+    over one axis always, entries are first divided by a power of two within a
+    factor 2 of the largest magnitude (the scaling of BLAS nrm2; Blue, ACM TOMS
+    1978), so no square over- or underflows.  The division is exact, so in
+    range the result rounds exactly as the unscaled sum of squares does, and
+    both passes give the same bits.
     """
     if axis is None:
+        y = x.ravel("K")
+        ss = y.dot(y)
+        if 2.0**-900 < ss < math.inf:
+            return math.sqrt(ss)
         big = float(np.maximum.reduce(np.abs(x), axis=None))
         scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
         y = (x / scale).ravel("K")  # what np.linalg.norm runs for real input

@@ -178,13 +178,21 @@ def best_trank_one(a):
     """Closest tensor (in Frobenius norm) with a single nonzero singular value.
 
     Equals ``truncate_trank(tsvd(a), 1)`` without the phase convention: a kept
-    term ``u_k[:, i] c v_k[:, i]^H`` is unchanged when both vectors share a phase.
-    ArithmeticError if the spectrum overflowed float64.
+    term ``u_k[:, 0] c v_k[:, 0]^H`` is unchanged when both vectors share a phase.
+    The kept value is the image's (1, 1, 1) entry, the largest, so it is built
+    from each transform slice's top singular pair alone, out of one reduced
+    SVD; its bits can differ from a truncation of the full factors by rounding.
+    ArithmeticError if the spectrum overflowed float64 or an entry of the
+    result is beyond the float64 range.
     """
     a = as_tensor(a)
-    u, sigma, vh = _svd(_rhalf(a))
     p = a.shape[2]
-    return _truncated(u, vh, _finite(_from_half(sigma, p), _SIGMA1), 1, p)
+    u, sigma, vh = _svd(_rhalf(a), full_matrices=False)
+    # No image entry exceeds S_111, the mean over all p slices of their top
+    # singular values, in magnitude: S_111 alone overflows first.
+    top = _finite(float(_from_half(sigma[:, :1], p)[0, 0]), _SIGMA1)
+    product = _from_half((u[:, :, :1] * top) @ vh[:, :1], p)
+    return _finite(product, "the largest entry of the truncation")
 
 
 def sigma1(a):

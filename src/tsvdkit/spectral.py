@@ -15,18 +15,20 @@ factors slices 0..p//2 of the full ``dft_mode3`` spectrum, one
 slices to LAPACK's real driver.  ``tprod`` takes the transform only for
 products too large for its block-circulant matmul.
 
-The route's FFTs, SVDs and QRs (``_kernels``) call numpy's pocketfft and
-LAPACK gufuncs directly, skipping the wrappers' per-call overhead, once a probe
-on first use shows that these match ``np.fft`` and ``np.linalg`` bit for bit;
-otherwise (numpy 1.x) they call ``np.fft`` and ``np.linalg``, as
-``dft_mode3`` and ``idft_mode3`` always do.
+The route's kernels (``_kernels``) are the real FFT and its inverse, the SVD
+with full factors, reduced factors or singular values only, and the QR.  They
+call numpy's pocketfft and LAPACK gufuncs directly, skipping the wrappers'
+per-call overhead, once a probe on first use shows that these match
+``np.fft`` and ``np.linalg`` bit for bit; otherwise (numpy 1.x) they call
+``np.fft`` and ``np.linalg``, as ``dft_mode3`` and ``idft_mode3`` always do.
 
 This module alone knows the kernels, the slice-major layout and LAPACK's
 contracts.  The rest of the package reaches the kernels only through
 ``_rhalf`` (data with the DFT axis last in, a stack with it first out, for
-tensors and for (r, p) tubes), ``_svd``, ``_oriented_q`` (QR with a
-deterministic sign), ``_pack_half`` (real draws laid out as a half stack)
-and ``_from_half`` (the inverse of ``_rhalf``), besides ``complex_svd``.
+tensors and for (r, p) tubes), ``_svd`` (any of the three SVDs),
+``_oriented_q`` (QR with a deterministic sign), ``_pack_half`` (real draws
+laid out as a half stack) and ``_from_half`` (the inverse of ``_rhalf``),
+besides ``complex_svd``.
 """
 
 from collections import namedtuple
@@ -111,12 +113,12 @@ class SliceSvd:
     v: np.ndarray  # (n, n) unitary
 
 
-def _svd(d, compute_uv=True):
+def _svd(d, compute_uv=True, full_matrices=True):
     """``np.linalg.svd``, stacked over leading axes; failure is SvdConvergenceError,
     unless `d`, a transform of finite data, has an entry that overflowed float64,
     which LAPACK cannot factor: that is ArithmeticError."""
     try:
-        return _kernels().svd(d, compute_uv)
+        return _kernels().svd(d, compute_uv, full_matrices)
     except np.linalg.LinAlgError as exc:
         _finite(d, "the largest transform entry")
         raise SvdConvergenceError(str(exc)) from None
@@ -214,13 +216,15 @@ def _from_half(stack, p):
     return _kernels().irfft(stack.transpose(_AXIS_LAST[stack.ndim]), p)
 
 
-# rfft(a) and irfft(x, p) act along the last axis and svd(d, compute_uv) on a
-# stack of matrices, each returning what np.fft or np.linalg.svd does, in the
-# same memory layout.  qr(a) of a C-contiguous complex stack returns Q and a
-# stack whose diagonal is R's, and may overwrite `a`.
+# rfft(a) and irfft(x, p) act along the last axis and svd(d, compute_uv,
+# full_matrices) on a stack of matrices, each returning what np.fft or
+# np.linalg.svd does, in the same memory layout.  qr(a) of a C-contiguous
+# complex stack returns Q and a stack whose diagonal is R's, and may
+# overwrite `a`.
 _Kernels = namedtuple("_Kernels", "rfft irfft svd qr")
 _PUBLIC = _Kernels(lambda a: np.fft.rfft(a), lambda x, p: np.fft.irfft(x, p),
-                   lambda d, uv: np.linalg.svd(d, compute_uv=uv), lambda a: np.linalg.qr(a))
+                   lambda d, uv, full: np.linalg.svd(d, full_matrices=full, compute_uv=uv),
+                   lambda a: np.linalg.qr(a))
 
 _pocketfft_umath = None  # numpy.fft's gufunc module, imported by the probe
 
@@ -249,8 +253,11 @@ def _lapack_errors(message):
 
 
 @_lapack_errors("SVD did not converge")
-def _svd_direct(d, compute_uv):
-    return _umath_linalg.svd_f(d) if compute_uv else _umath_linalg.svd(d)
+def _svd_direct(d, compute_uv, full_matrices):
+    # svd_f gives the full factors, svd_s the reduced ones, svd no factors.
+    if not compute_uv:
+        return _umath_linalg.svd(d)
+    return (_umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s)(d)
 
 
 @_lapack_errors("Incorrect argument found while performing QR factorization")
@@ -266,8 +273,10 @@ _DIRECT = _Kernels(_rfft_direct, _irfft_direct, _svd_direct, _qr_direct)
 
 def _probe(kernels):
     # Every kernel on fixed inputs: rfft and irfft at an even and an odd
-    # length, svd of complex and real matrices with and without factors, and
-    # qr of slices whose diag(R) has entries of both signs.
+    # length, svd of complex and real matrices with full, reduced and no
+    # factors, and qr of slices whose diag(R) has entries of both signs.  The
+    # reduced svd sees only square slices: a 2x1 probe raised the peak RSS of
+    # every process on the route by about 0.4 MB, for best_trank_one alone.
     x = np.array([0.3, -1.7, 2.9, 0.55, -4.1])
     z = np.array([[[1, 2j], [3, -1j]], [[-2, 1], [1j, 4]]])
     q, r = kernels.qr(z.copy())
@@ -276,7 +285,8 @@ def _probe(kernels):
         half = kernels.rfft(x[:p])
         arrays += [half, kernels.irfft(half, p)]
     for d in (z, z.real):
-        arrays += [*kernels.svd(d, True), kernels.svd(d, False)]
+        arrays += [*kernels.svd(d, True, True), *kernels.svd(d, True, False),
+                   kernels.svd(d, False, True)]
     return arrays
 
 

@@ -65,6 +65,15 @@ MUTANTS = [
            'x = _finite(np.fft.ifft(d, axis=2), "the largest entry of the inverse transform")',
            "x = np.fft.ifft(d, axis=2)",
            "idft_mode3: an inverse that overflowed float64 raises ArithmeticError"),
+    Mutant("norm-one-pass-overflow", "src/tsvdkit/core.py",
+           "if 2.0**-900 < ss < math.inf:",
+           "if 2.0**-900 < ss:",
+           "frobenius_norm: a sum of squares that overflows falls back to the scaled pass"),
+    Mutant("norm-one-pass-underflow", "src/tsvdkit/core.py",
+           "if 2.0**-900 < ss < math.inf:",
+           "if 0.0 < ss < math.inf:",
+           "frobenius_norm: a sum of squares near the subnormal range falls back to the "
+           "scaled pass"),
     Mutant("data-entry-limit", "src/tsvdkit/fileio.py",
            "self.limit = 0 if dims.fault else math.prod(dims.joined())",
            "self.limit = math.inf",

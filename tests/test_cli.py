@@ -206,6 +206,19 @@ class TestApproxCommand:
         assert code == 2
         assert "invalid choice" in err
 
+    def test_rank_five_truncates_the_tsvd(self, tmp_path, capsys):
+        # The image's mirrored pairs are equal only to rounding, so which one
+        # the s-largest selection keeps depends on how the image was factored:
+        # here tsvd's middle factor keeps slice 7 of row 0 and km_mapping's
+        # batched image slice 1, and the two truncations differ by 0.21.  So
+        # approx stays on the tsvd's factors.
+        a = np.random.default_rng([1, 0]).standard_normal((16, 4, 8))
+        path, out_path = tmp_path / "a.tensor", str(tmp_path / "a5.tensor")
+        write_tensor(path, a)
+        code, _, _ = run_cli(["approx", str(path), "--rank", "5", "--out", out_path], capsys)
+        assert code == 0
+        assert np.array_equal(read_tensor(out_path), kmsvd.truncate_trank(kmsvd.tsvd(a), 5))
+
     def test_overflowing_truncation_writes_and_prints_nothing(self, tmp_path, capsys,
                                                                monkeypatch):
         path = tmp_path / "a.tensor"

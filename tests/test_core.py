@@ -78,6 +78,15 @@ class TestFrobeniusNorm:
         c = 2.0**k
         assert core._norm2(c * x) == c * core._norm2(x)
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 4), (6, 5, 7)])
+    def test_norm_scales_exactly_across_the_one_pass_edges(self, dims):
+        # The unscaled sum of squares is used only while it is finite and above
+        # 2**-900; these exponents cross both edges for every size.
+        x = _random_for(dims, 7)
+        for k in [*range(-540, -439), *range(440, 513)]:
+            c = 2.0**k
+            assert core._norm2(c * x) == c * core._norm2(x), k
+
 
 class TestBcirc:
     def test_p_equals_one(self, rng):
